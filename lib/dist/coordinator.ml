@@ -60,6 +60,7 @@ type client = {
   conn : P.conn;
   mutable worker : string;
   mutable leased : int option;
+  mutable granted : bool;  (* has held a lease *)
   mutable last_seen : float;
 }
 
@@ -75,6 +76,7 @@ type state = {
   mutable hellos : int;
       (* workers ever seen; gates granting until min_workers showed up, so
          small sweeps cannot be swallowed whole by the first arrival *)
+  mutable granted : int;  (* workers that have held a lease *)
 }
 
 let logf st fmt =
@@ -131,15 +133,26 @@ let handle st client msg =
     send_or_drop st client (P.Job st.cfg.job)
   | P.Request ->
     if complete st then send_or_drop st client P.Done
-    else if Queue.is_empty st.pending || st.hellos < st.cfg.min_workers then
-      (* Everything is leased out (or the fleet hasn't fully arrived yet);
-         the worker should poll again soon in case a lease times out and
-         re-queues. *)
+    else if
+      Queue.is_empty st.pending
+      || st.hellos < st.cfg.min_workers
+      || client.granted
+         && st.granted < st.cfg.min_workers
+         && List.exists (fun c -> c.worker <> "?" && not c.granted) st.clients
+    then
+      (* Everything is leased out, the fleet hasn't fully arrived yet, or
+         fewer than min_workers have held a lease and a connected one still
+         waits for its first (so every spawned worker is sure to hold one);
+         poll again soon in case a lease times out and re-queues. *)
       send_or_drop st client
         (P.Wait { delay = Float.min 0.25 (st.cfg.lease_timeout /. 4.0) })
     else begin
       let shard = Queue.pop st.pending in
       client.leased <- Some shard;
+      if not client.granted then begin
+        client.granted <- true;
+        st.granted <- st.granted + 1
+      end;
       logf st "granted shard %d to %s" shard client.worker;
       send_or_drop st client (P.Grant { shard })
     end
@@ -257,6 +270,7 @@ let serve cfg =
       regrants = 0;
       duplicates = 0;
       hellos = 0;
+      granted = 0;
     }
   in
   List.iter (fun r -> Hashtbl.replace st.done_ r.P.shard r) resumed_results;
@@ -277,6 +291,7 @@ let serve cfg =
           conn = P.conn fd;
           worker = "?";
           leased = None;
+          granted = false;
           last_seen = Live.Sockets.now ();
         }
         :: st.clients

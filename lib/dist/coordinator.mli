@@ -29,7 +29,10 @@ type config = {
   min_workers : int;
       (** hold every grant until this many workers have said hello — keeps
           a fast first arrival from swallowing a small sweep whole before
-          the rest of a spawned fleet connects *)
+          the rest of a spawned fleet connects.  Until this many workers
+          have held a lease, none gets a second while a connected one that
+          said hello still waits for its first, so every worker of a
+          spawned fleet holds a lease.  0 (the default) gates nothing. *)
   verbose : bool;
 }
 

@@ -2,17 +2,12 @@ let failed_exit_code = 3
 let auto_shards ?(straggler = 8) ~workers () = max 1 workers * straggler
 
 let spawn_worker ?patience ?chaos ?verbose ~addr () =
-  match Unix.fork () with
-  | 0 ->
-    let code =
+  Live.Proc.fork (fun () ->
       match Worker.run ?patience ?chaos ?verbose ~addr () with
       | Ok _ -> 0
       | Error why ->
         Printf.eprintf "worker %d: %s\n%!" (Unix.getpid ()) why;
-        failed_exit_code
-    in
-    Unix._exit code
-  | pid -> pid
+        failed_exit_code)
 
 type outcome = {
   report : Coordinator.report;
@@ -23,13 +18,12 @@ type outcome = {
 let reap pids =
   List.fold_left
     (fun (failures, chaos) pid ->
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> (failures, chaos)
-      | _, Unix.WEXITED c when c = Worker.chaos_exit_code ->
+      match Live.Proc.wait pid with
+      | Live.Proc.Exited 0 -> (failures, chaos)
+      | Live.Proc.Exited c when c = Worker.chaos_exit_code ->
         (failures, chaos + 1)
-      | _, (Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _) ->
-        (failures + 1, chaos)
-      | exception Unix.Unix_error _ -> (failures, chaos))
+      | Live.Proc.Exited _ | Live.Proc.Signaled _ | Live.Proc.Stop_killed ->
+        (failures + 1, chaos))
     (0, 0) pids
 
 let run_local ?lease_timeout ?checkpoint ?verbose ?kill_one_after ~workers
@@ -53,15 +47,16 @@ let run_local ?lease_timeout ?checkpoint ?verbose ?kill_one_after ~workers
     in
     let served =
       Coordinator.serve
-        (Coordinator.config ?lease_timeout ?checkpoint ~min_workers:workers
+        (Coordinator.config ?lease_timeout ?checkpoint
+           ~min_workers:(workers + replacements)
            ?verbose ~addr job)
     in
     (* Reap unconditionally: serve errors must not leak children. *)
-    List.iter
-      (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-      (match served with Ok _ -> [] | Error _ -> pids);
-    let worker_failures, chaos_deaths = reap pids in
     match served with
-    | Error why -> Error why
-    | Ok report -> Ok { report; worker_failures; chaos_deaths }
+    | Error why ->
+      List.iter Live.Proc.terminate pids;
+      Error why
+    | Ok report ->
+      let worker_failures, chaos_deaths = reap pids in
+      Ok { report; worker_failures; chaos_deaths }
   end

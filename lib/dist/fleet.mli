@@ -44,8 +44,10 @@ val run_local :
   Protocol.job ->
   (outcome, string) result
 (** Serve [job] on [addr] with [workers] forked local workers, reaping every
-    child before returning.  [kill_one_after k] arms worker 0 with
-    [die_after_schedules = k]: it drops dead mid-shard, its lease times out,
-    and the survivors absorb the work — the sweep must still complete, which
-    is exactly what the CI smoke asserts.  With [workers = 1] and a kill,
+    child before returning.  Every spawned worker is sure to hold a lease
+    ({!Coordinator.config.min_workers}).  [kill_one_after k] arms worker 0 with
+    [die_after_schedules = k]: it drops dead mid-shard (within its first
+    lease at the latest), its lease is revoked, and the survivors absorb
+    the work — the sweep must still complete, which is exactly what the CI
+    smoke asserts.  With [workers = 1] and a kill,
     the fleet spawns one replacement worker so the sweep can still finish. *)

@@ -52,6 +52,16 @@ let enumeration job =
     in
     Ok (algo, t, seq)
 
+(* A [die_after_schedules] death fires once [k] schedules are checked, and
+   at the latest at the end of the first lease: shards can be smaller than
+   [k], and a worker is only sure to hold one lease. *)
+let chaos_death st ~lease_end =
+  match st.chaos.die_after_schedules with
+  | Some k when st.checked_total >= k || (lease_end && st.grants = 1) ->
+    logf st "chaos: dying mid-shard after %d schedules" st.checked_total;
+    Unix._exit chaos_exit_code
+  | Some _ | None -> ()
+
 (* Fold one residue-class slice through the verdict.  Heartbeats flow on a
    timer; their failures are deliberately ignored — the broken connection
    will surface when the result is sent, and the result is what matters. *)
@@ -64,11 +74,7 @@ let run_shard st conn (job : P.job) ~shard =
     let next_hb = ref (Live.Sockets.now () +. job.P.heartbeat_every) in
     Seq.iter
       (fun schedule ->
-        (match st.chaos.die_after_schedules with
-        | Some k when st.checked_total >= k ->
-          logf st "chaos: dying mid-shard after %d schedules" k;
-          Unix._exit chaos_exit_code
-        | Some _ | None -> ());
+        chaos_death st ~lease_end:false;
         if Live.Sockets.now () >= !next_hb then begin
           ignore (P.send conn (P.Heartbeat { shard; checked = !classes }));
           next_hb := Live.Sockets.now () +. job.P.heartbeat_every
@@ -86,6 +92,7 @@ let run_shard st conn (job : P.job) ~shard =
             }
             :: !violations)
       (Adversary.Enumerate.shard ~shards:job.P.shards ~shard (seq ()));
+    chaos_death st ~lease_end:true;
     let violations = List.rev !violations in
     Ok
       {

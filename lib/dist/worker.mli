@@ -24,7 +24,9 @@ type chaos = {
           lease — the coordinator must time it out and re-grant *)
   die_after_schedules : int option;
       (** [Some k]: [_exit] after checking [k] schedules in total, i.e. in
-          the middle of a shard *)
+          the middle of a shard — and at the latest after the last
+          schedule of the first lease, before reporting it, so the death
+          is certain even when every shard is smaller than [k] *)
 }
 
 val no_chaos : chaos

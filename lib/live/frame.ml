@@ -7,30 +7,12 @@ type t =
   | Catchup of { instance : int; value : int; round : int }
 
 let magic0 = '\xFA'
-let magic1_v1 = '\xCE'
-let magic1_v2 = '\xCF'
-let magic1_v3 = '\xD0'
+let version = '\xD1'
 let max_body = 65536
 let max_instance = (1 lsl 30) - 1
 
-let equal a b =
-  match (a, b) with
-  | Hello { node = a }, Hello { node = b } -> Int.equal a b
-  | ( Data { instance = i1; round = r1; payload = p1 },
-      Data { instance = i2; round = r2; payload = p2 } ) ->
-    Int.equal i1 i2 && Int.equal r1 r2 && String.equal p1 p2
-  | Ctl { instance = i1; round = r1 }, Ctl { instance = i2; round = r2 } ->
-    Int.equal i1 i2 && Int.equal r1 r2
-  | ( Submit { instance = i1; proposal = p1 },
-      Submit { instance = i2; proposal = p2 } ) ->
-    Int.equal i1 i2 && Int.equal p1 p2
-  | ( Decide { instance = i1; value = v1; round = r1 },
-      Decide { instance = i2; value = v2; round = r2 } ) ->
-    Int.equal i1 i2 && Int.equal v1 v2 && Int.equal r1 r2
-  | ( Catchup { instance = i1; value = v1; round = r1 },
-      Catchup { instance = i2; value = v2; round = r2 } ) ->
-    Int.equal i1 i2 && Int.equal v1 v2 && Int.equal r1 r2
-  | (Hello _ | Data _ | Ctl _ | Submit _ | Decide _ | Catchup _), _ -> false
+(* Ints and strings only: structural equality is exact. *)
+let equal (a : t) b = a = b
 
 let pp ppf = function
   | Hello { node } -> Format.fprintf ppf "hello(p%d)" node
@@ -45,11 +27,9 @@ let pp ppf = function
   | Catchup { instance; value; round } ->
     Format.fprintf ppf "catchup(i%d,v%d,r%d)" instance value round
 
-let add_be32 buf v =
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr (v land 0xff))
+let add_be32 buf v = Buffer.add_int32_be buf (Int32.of_int v)
+let set_be32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let be32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
 (* Instance ids ride as LEB128 varints: 7 value bits per byte, low group
    first, high bit set on every byte but the last.  The common case — low
@@ -67,88 +47,49 @@ let add_varint buf v =
   in
   go v
 
-let body_of = function
-  | Hello { node } ->
-    let b = Buffer.create 5 in
-    Buffer.add_char b '\x01';
-    add_be32 b node;
-    Buffer.contents b
-  | Data { instance; round; payload } ->
-    let b = Buffer.create (10 + String.length payload) in
-    Buffer.add_char b '\x02';
-    add_varint b instance;
-    add_be32 b round;
-    Buffer.add_string b payload;
-    Buffer.contents b
-  | Ctl { instance; round } ->
-    let b = Buffer.create 10 in
-    Buffer.add_char b '\x03';
-    add_varint b instance;
-    add_be32 b round;
-    Buffer.contents b
-  | Submit { instance; proposal } ->
-    let b = Buffer.create 10 in
-    Buffer.add_char b '\x04';
-    add_varint b instance;
-    add_be32 b proposal;
-    Buffer.contents b
-  | Decide { instance; value; round } ->
-    let b = Buffer.create 14 in
-    Buffer.add_char b '\x05';
-    add_varint b instance;
-    add_be32 b round;
-    add_be32 b value;
-    Buffer.contents b
-  | Catchup { instance; value; round } ->
-    let b = Buffer.create 14 in
-    Buffer.add_char b '\x06';
-    add_varint b instance;
-    add_be32 b round;
-    add_be32 b value;
-    Buffer.contents b
+let crc b ~pos ~len = Int32.to_int (Crc32.bytes b ~pos ~len) land 0xFFFFFFFF
 
-let frame_of ~magic1 body =
-  let len = String.length body in
-  if len > max_body then invalid_arg "Frame.encode: body too large";
-  let out = Buffer.create (10 + len) in
-  Buffer.add_char out magic0;
-  Buffer.add_char out magic1;
-  add_be32 out len;
-  Buffer.add_string out body;
-  add_be32 out (Int32.to_int (Crc32.string body) land 0xFFFFFFFF);
-  Buffer.contents out
-
-let encode frame = frame_of ~magic1:magic1_v3 (body_of frame)
-
-let encode_v2 frame =
+(* Header with a zero length placeholder, then the body; the length is
+   patched in and the CRC — over header and body, so a flipped magic,
+   version or length byte is caught like a flipped body byte — appended. *)
+let encode frame =
+  let b = Buffer.create 32 in
+  Buffer.add_char b magic0;
+  Buffer.add_char b version;
+  add_be32 b 0;
+  let tagged tag instance =
+    Buffer.add_char b tag;
+    add_varint b instance
+  in
   (match frame with
-  | Catchup _ -> invalid_arg "Frame.encode_v2: kind not in v2"
-  | Hello _ | Data _ | Ctl _ | Submit _ | Decide _ -> ());
-  frame_of ~magic1:magic1_v2 (body_of frame)
-
-let body_of_v1 = function
   | Hello { node } ->
-    let b = Buffer.create 5 in
     Buffer.add_char b '\x01';
-    add_be32 b node;
-    Buffer.contents b
+    add_be32 b node
   | Data { instance; round; payload } ->
-    if instance <> 0 then invalid_arg "Frame.encode_v1: nonzero instance id";
-    let b = Buffer.create (5 + String.length payload) in
-    Buffer.add_char b '\x02';
+    tagged '\x02' instance;
     add_be32 b round;
-    Buffer.add_string b payload;
-    Buffer.contents b
+    Buffer.add_string b payload
   | Ctl { instance; round } ->
-    if instance <> 0 then invalid_arg "Frame.encode_v1: nonzero instance id";
-    let b = Buffer.create 5 in
-    Buffer.add_char b '\x03';
+    tagged '\x03' instance;
+    add_be32 b round
+  | Submit { instance; proposal } ->
+    tagged '\x04' instance;
+    add_be32 b proposal
+  | Decide { instance; value; round } ->
+    tagged '\x05' instance;
     add_be32 b round;
-    Buffer.contents b
-  | Submit _ | Decide _ | Catchup _ ->
-    invalid_arg "Frame.encode_v1: kind not in v1"
-
-let encode_v1 frame = frame_of ~magic1:magic1_v1 (body_of_v1 frame)
+    add_be32 b value
+  | Catchup { instance; value; round } ->
+    tagged '\x06' instance;
+    add_be32 b round;
+    add_be32 b value);
+  let len = Buffer.length b - 6 in
+  if len > max_body then invalid_arg "Frame.encode: body too large";
+  let out = Bytes.create (6 + len + 4) in
+  Buffer.blit b 0 out 0 (6 + len);
+  set_be32 out 2 len;
+  set_be32 out (6 + len) (crc out ~pos:0 ~len:(6 + len));
+  Bytes.unsafe_to_string out
 
 (* --- Incremental decoding ------------------------------------------------- *)
 
@@ -223,12 +164,6 @@ let feed d s ~pos ~len =
 
 let feed_string d s = feed d s ~pos:0 ~len:(String.length s)
 
-let be32 b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
 let fail d msg =
   d.corrupt <- Some msg;
   `Corrupt msg
@@ -249,107 +184,49 @@ let read_varint b ~off ~stop =
 
 (* Parse one CRC-validated body in place: [off..stop) inside [d.buf].
    Fills the decoder's reused [view]; Data payloads stay a window into the
-   receive buffer. *)
-let parse_body d ~version ~off ~stop =
-  if stop - off < 1 then fail d "body shorter than its fixed fields"
-  else begin
-    let v = d.view in
-    let kind = Bytes.get d.buf off in
-    let off = off + 1 in
-    match (version, kind) with
-    | _, '\x01' ->
-      if stop - off <> 4 then fail d "hello body has trailing bytes"
+   receive buffer.  Every kind but Hello carries a varint instance id
+   followed by fixed fields (and, for Data, the payload). *)
+let parse_body d ~off ~stop =
+  let v = d.view in
+  if stop - off < 1 then fail d "empty frame body"
+  else
+    match Bytes.get d.buf off with
+    | '\x01' ->
+      if stop - off <> 5 then fail d "hello body has the wrong size"
       else begin
         v.kind <- K_hello;
-        v.node <- be32 d.buf off;
+        v.node <- be32 d.buf (off + 1);
         `View v
       end
-    | 1, '\x02' ->
-      if stop - off < 4 then fail d "body shorter than its fixed fields"
-      else begin
-        v.kind <- K_data;
-        v.instance <- 0;
-        v.round <- be32 d.buf off;
-        v.payload_buf <- d.buf;
-        v.payload_pos <- off + 4;
-        v.payload_len <- stop - off - 4;
-        `View v
-      end
-    | 1, '\x03' ->
-      if stop - off <> 4 then fail d "ctl body has trailing bytes"
-      else begin
-        v.kind <- K_ctl;
-        v.instance <- 0;
-        v.round <- be32 d.buf off;
-        `View v
-      end
-    | (2 | 3), '\x02' -> begin
-      match read_varint d.buf ~off ~stop with
+    | '\x02' .. '\x06' as tag -> (
+      match read_varint d.buf ~off:(off + 1) ~stop with
       | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off < 4 then fail d "body shorter than its fixed fields"
-        else begin
+      | Some (instance, off) -> (
+        v.instance <- instance;
+        let rest = stop - off in
+        match tag with
+        | '\x02' when rest >= 4 ->
           v.kind <- K_data;
-          v.instance <- instance;
           v.round <- be32 d.buf off;
           v.payload_buf <- d.buf;
           v.payload_pos <- off + 4;
-          v.payload_len <- stop - off - 4;
+          v.payload_len <- rest - 4;
           `View v
-        end
-    end
-    | (2 | 3), '\x03' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 4 then fail d "ctl body has trailing bytes"
-        else begin
+        | '\x03' when rest = 4 ->
           v.kind <- K_ctl;
-          v.instance <- instance;
           v.round <- be32 d.buf off;
           `View v
-        end
-    end
-    | (2 | 3), '\x04' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 4 then fail d "submit body has trailing bytes"
-        else begin
+        | '\x04' when rest = 4 ->
           v.kind <- K_submit;
-          v.instance <- instance;
           v.value <- be32 d.buf off;
           `View v
-        end
-    end
-    | (2 | 3), '\x05' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 8 then fail d "decide body has trailing bytes"
-        else begin
-          v.kind <- K_decide;
-          v.instance <- instance;
+        | ('\x05' | '\x06') when rest = 8 ->
+          v.kind <- (if tag = '\x05' then K_decide else K_catchup);
           v.round <- be32 d.buf off;
           v.value <- be32 d.buf (off + 4);
           `View v
-        end
-    end
-    | 3, '\x06' -> begin
-      match read_varint d.buf ~off ~stop with
-      | None -> fail d "bad varint instance id"
-      | Some (instance, off) ->
-        if stop - off <> 8 then fail d "catchup body has trailing bytes"
-        else begin
-          v.kind <- K_catchup;
-          v.instance <- instance;
-          v.round <- be32 d.buf off;
-          v.value <- be32 d.buf (off + 4);
-          `View v
-        end
-    end
-    | _, c -> fail d (Printf.sprintf "unknown frame kind 0x%02x" (Char.code c))
-  end
+        | _ -> fail d "frame body does not match its kind"))
+    | c -> fail d (Printf.sprintf "unknown frame kind 0x%02x" (Char.code c))
 
 let pop_view d =
   match d.corrupt with
@@ -358,40 +235,37 @@ let pop_view d =
     let live = buffered d in
     if live < 6 then `Need_more
     else if Bytes.get d.buf d.start <> magic0 then fail d "bad frame magic"
+    else if Bytes.get d.buf (d.start + 1) <> version then
+      fail d
+        (Printf.sprintf "unknown frame version 0x%02x"
+           (Char.code (Bytes.get d.buf (d.start + 1))))
     else
-      let version =
-        let m1 = Bytes.get d.buf (d.start + 1) in
-        if m1 = magic1_v1 then 1
-        else if m1 = magic1_v2 then 2
-        else if m1 = magic1_v3 then 3
-        else 0
-      in
-      if version = 0 then fail d "bad frame magic"
-      else
-        let len = be32 d.buf (d.start + 2) in
-        if len > max_body then
-          fail d (Printf.sprintf "frame length %d exceeds limit %d" len max_body)
-        else if live < 6 + len + 4 then `Need_more
+      let len = be32 d.buf (d.start + 2) in
+      if len > max_body then
+        fail d (Printf.sprintf "frame length %d exceeds limit %d" len max_body)
+      else if live < 6 + len + 4 then `Need_more
+      else begin
+        let body = d.start + 6 in
+        let declared = be32 d.buf (body + len) in
+        let actual = crc d.buf ~pos:d.start ~len:(6 + len) in
+        if declared <> actual then
+          fail d
+            (Printf.sprintf "CRC mismatch (wire %08x, computed %08x)" declared
+               actual)
         else begin
-          let body = d.start + 6 in
-          let declared = be32 d.buf (body + len) in
-          let actual = Int32.to_int (Crc32.bytes d.buf ~pos:body ~len) land 0xFFFFFFFF in
-          if declared <> actual then
-            fail d (Printf.sprintf "CRC mismatch (wire %08x, computed %08x)" declared actual)
-          else begin
-            match parse_body d ~version ~off:body ~stop:(body + len) with
-            | `View v ->
-              (* Consuming only moves indices, never bytes, so the view's
-                 payload window stays valid until the next [feed]. *)
-              d.start <- body + len + 4;
-              if d.start = d.stop then begin
-                d.start <- 0;
-                d.stop <- 0
-              end;
-              `View v
-            | `Corrupt _ as c -> c
-          end
+          match parse_body d ~off:body ~stop:(body + len) with
+          | `View v ->
+            (* Consuming only moves indices, never bytes, so the view's
+               payload window stays valid until the next [feed]. *)
+            d.start <- body + len + 4;
+            if d.start = d.stop then begin
+              d.start <- 0;
+              d.stop <- 0
+            end;
+            `View v
+          | `Corrupt _ as c -> c
         end
+      end
 
 let view_payload v = Bytes.sub_string v.payload_buf v.payload_pos v.payload_len
 

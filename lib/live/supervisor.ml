@@ -56,44 +56,18 @@ let workspace cfg = match cfg.transport with `Unix d -> d | `Tcp (d, _) -> d
 let node_transport cfg =
   match cfg.transport with `Unix d -> `Unix d | `Tcp (_, base) -> `Tcp base
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let vlog cfg fmt = Proc.vlog cfg.verbose "live" fmt
 
-let vlog cfg fmt =
-  Printf.ksprintf
-    (fun s -> if cfg.verbose then Printf.eprintf "live: %s\n%!" s)
-    fmt
-
-type child = {
-  node : int;
-  mutable os_pid : int;
-  mutable status_fd : Unix.file_descr option;
-  mutable go_fd : Unix.file_descr option;
-  buf : Buffer.t;
+(* What the supervisor learns about one node from its status pipe. *)
+type node = {
   mutable rounds : Transcript.round_obs list;  (* newest first *)
   mutable decided : (int * int) option;  (* value, round *)
   mutable undecided_evt : bool;
-  mutable ready : bool;
-  mutable exit_obs : [ `Exited of int | `Signaled of int | `Stop_killed ] option;
   mutable final : Transcript.status option;
-  mutable respawns : int;  (* startup respawns consumed *)
-  mutable awaiting_respawn : bool;  (* dead pre-mesh, backoff running *)
-  mutable next_respawn_at : float;
 }
 
-(* Parent-side pipe ends, closed inside every freshly forked child so that a
-   status pipe's EOF means "this node is gone", not "some sibling still
-   holds a copy".  Closing always goes through [close_parent_fd] so a
-   recycled descriptor number can never be closed out from under a later
-   child. *)
-let close_parent_fd parent_fds fd =
-  parent_fds := List.filter (fun f -> f <> fd) !parent_fds;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let handle_event c line =
+let handle_event (c : node Proc.child) line =
+  let s = c.state in
   match Obs.Json.of_string line with
   | Error _ -> ()
   | Ok j -> (
@@ -107,11 +81,11 @@ let handle_event c line =
       | _ -> 0.0
     in
     match Obs.Json.member "event" j with
-    | Some (Obs.Json.String "ready") -> c.ready <- true
+    | Some (Obs.Json.String "ready") -> Proc.mark_ready c
     | Some (Obs.Json.String "round") -> (
       match (int "round", int "data_recv", int "ctl_recv") with
       | Some round, Some data_recv, Some ctl_recv ->
-        c.rounds <-
+        s.rounds <-
           {
             Transcript.round;
             open_skew = flt "open_skew";
@@ -119,105 +93,33 @@ let handle_event c line =
             data_recv;
             ctl_recv;
           }
-          :: c.rounds
+          :: s.rounds
       | _ -> ())
     | Some (Obs.Json.String "decide") -> (
       match (int "value", int "round") with
-      | Some v, Some r -> c.decided <- Some (v, r)
+      | Some v, Some r -> s.decided <- Some (v, r)
       | _ -> ())
-    | Some (Obs.Json.String "undecided") -> c.undecided_evt <- true
+    | Some (Obs.Json.String "undecided") -> s.undecided_evt <- true
     | _ -> ())
 
-let process_lines c =
-  let rec go () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some i ->
-      let line = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf rest;
-      handle_event c line;
-      go ()
-  in
-  go ()
+let last_round s =
+  match s.rounds with [] -> 0 | r :: _ -> r.Transcript.round
 
-let pump parent_fds c =
-  match c.status_fd with
-  | None -> ()
-  | Some fd -> (
-    let b = Bytes.create 4096 in
-    match Unix.read fd b 0 4096 with
-    | 0 ->
-      close_parent_fd parent_fds fd;
-      c.status_fd <- None
-    | k ->
-      Buffer.add_subbytes c.buf b 0 k;
-      process_lines c
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ())
-
-let select_pump ~timeout parent_fds children =
-  let fds = Array.to_list children |> List.filter_map (fun c -> c.status_fd) in
-  if fds = [] then (
-    if timeout > 0.0 then Sockets.sleep_until (Sockets.now () +. timeout))
-  else
-    match Unix.select fds [] [] timeout with
-    | [], _, _ -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun c ->
-          match c.status_fd with
-          | Some fd when List.mem fd ready -> pump parent_fds c
-          | _ -> ())
-        children
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-let last_round c =
-  match c.rounds with [] -> 0 | r :: _ -> r.Transcript.round
-
-let finalize cfg c obs =
+let finalize cfg (c : node Proc.child) obs =
+  let s = c.state in
   match obs with
-  | `Stop_killed -> (
+  | Proc.Stop_killed -> (
     match Script.find cfg.script (Pid.of_int c.node) with
     | Some k -> Transcript.Killed { at_round = k.Script.round; scripted = true }
-    | None -> Transcript.Killed { at_round = last_round c + 1; scripted = false })
-  | `Exited 0 -> (
-    match c.decided with
+    | None -> Transcript.Killed { at_round = last_round s + 1; scripted = false })
+  | Proc.Exited 0 -> (
+    match s.decided with
     | Some (value, at_round) -> Transcript.Decided { value; at_round }
     | None ->
-      if c.undecided_evt then Transcript.Undecided
-      else Transcript.Killed { at_round = last_round c + 1; scripted = false })
-  | `Exited _ | `Signaled _ ->
-    Transcript.Killed { at_round = last_round c + 1; scripted = false }
-
-let cleanup cfg parent_fds children =
-  Array.iter
-    (fun c ->
-      if c.exit_obs = None then begin
-        (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-        c.exit_obs <- Some (`Signaled Sys.sigkill)
-      end)
-    children;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    !parent_fds;
-  parent_fds := [];
-  Array.iter
-    (fun c ->
-      c.status_fd <- None;
-      c.go_fd <- None)
-    children;
-  match cfg.transport with
-  | `Unix dir ->
-    for i = 1 to cfg.n do
-      try Unix.unlink (Filename.concat dir (Printf.sprintf "node-%d.sock" i))
-      with Unix.Unix_error _ -> ()
-    done
-  | `Tcp _ -> ()
+      if s.undecided_evt then Transcript.Undecided
+      else Transcript.Killed { at_round = last_round s + 1; scripted = false })
+  | Proc.Exited _ | Proc.Signaled _ ->
+    Transcript.Killed { at_round = last_round s + 1; scripted = false }
 
 let run cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -239,60 +141,7 @@ let run cfg =
           match cfg.max_rounds with Some m -> m | None -> t + 2
         in
         let dir = workspace cfg in
-        mkdir_p dir;
-        let parent_fds = ref [] in
-        let spawn_child i =
-          let status_r, status_w = Unix.pipe () in
-          let go_r, go_w = Unix.pipe () in
-          match Unix.fork () with
-          | 0 ->
-            (* the node process: never returns *)
-            (try
-               Unix.close status_r;
-               Unix.close go_w;
-               List.iter
-                 (fun fd ->
-                   try Unix.close fd with Unix.Unix_error _ -> ())
-                 !parent_fds;
-               let log =
-                 open_out (Filename.concat dir (Printf.sprintf "node-%d.log" i))
-               in
-               let ncfg =
-                 {
-                   Node.me = i;
-                   n;
-                   t;
-                   proposal = proposals.(i - 1);
-                   transport = node_transport cfg;
-                   big_d = cfg.big_d;
-                   delta = cfg.delta;
-                   max_rounds;
-                   kill = Script.find cfg.script (Pid.of_int i);
-                   status = Unix.out_channel_of_descr status_w;
-                   go = Unix.in_channel_of_descr go_r;
-                   log;
-                 }
-               in
-               Node.Rwwc.main ncfg;
-               Unix._exit 0
-             with e ->
-               (try
-                  let oc =
-                    open_out_gen
-                      [ Open_append; Open_creat ]
-                      0o644
-                      (Filename.concat dir (Printf.sprintf "node-%d.log" i))
-                  in
-                  Printf.fprintf oc "fatal: %s\n" (Printexc.to_string e);
-                  close_out oc
-                with _ -> ());
-               Unix._exit 3)
-          | pid ->
-            Unix.close status_w;
-            Unix.close go_r;
-            parent_fds := status_r :: go_w :: !parent_fds;
-            (pid, status_r, go_w)
-        in
+        Proc.mkdir_p dir;
         (* Fault-injection bookkeeping: how many times each node is still
            owed a chaos SIGKILL right after (re)spawn. *)
         let startup_kills = Hashtbl.create 4 in
@@ -301,254 +150,159 @@ let run cfg =
             Hashtbl.replace startup_kills node
               (1 + Option.value ~default:0 (Hashtbl.find_opt startup_kills node)))
           cfg.chaos_startup_kills;
-        let chaos_kill_fresh node pid =
-          match Hashtbl.find_opt startup_kills node with
-          | Some k when k > 0 ->
-            Hashtbl.replace startup_kills node (k - 1);
-            vlog cfg "chaos: SIGKILL node %d during startup" node;
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
-          | Some _ | None -> ()
-        in
-        let children =
-          Array.init n (fun idx ->
-              let i = idx + 1 in
-              let pid, status_r, go_w = spawn_child i in
-              {
-                node = i;
-                os_pid = pid;
-                status_fd = Some status_r;
-                go_fd = Some go_w;
-                buf = Buffer.create 256;
-                rounds = [];
-                decided = None;
-                undecided_evt = false;
-                ready = false;
-                exit_obs = None;
-                final = None;
-                respawns = 0;
-                awaiting_respawn = false;
-                next_respawn_at = 0.0;
-              })
-        in
-        Array.iter (fun c -> chaos_kill_fresh c.node c.os_pid) children;
-        vlog cfg "spawned %d nodes" n;
-        let wait_ready () =
-          let deadline = Sockets.now () +. 15.0 in
-          let rec go () =
-            if Array.for_all (fun c -> c.ready) children then Ok ()
-            else if Sockets.now () > deadline then
-              Error "live: startup timeout — not every node became ready"
-            else begin
-              select_pump ~timeout:0.05 parent_fds children;
-              let failure = ref None in
-              Array.iter
-                (fun c ->
-                  if (not c.ready) && c.exit_obs = None && !failure = None then
-                    if c.awaiting_respawn then begin
-                      (* self-healing window: before the mesh forms a fresh
-                         process can still take the dead one's place, after
-                         this attempt's backoff has elapsed *)
-                      if Sockets.now () >= c.next_respawn_at then begin
-                        Buffer.clear c.buf;
-                        let pid, status_r, go_w = spawn_child c.node in
-                        c.os_pid <- pid;
-                        c.status_fd <- Some status_r;
-                        c.go_fd <- Some go_w;
-                        c.awaiting_respawn <- false;
-                        c.respawns <- c.respawns + 1;
-                        vlog cfg "node %d respawned (attempt %d of %d)" c.node
-                          c.respawns cfg.respawn_budget;
-                        Obs.Instrument.emit cfg.instrument
-                          (Respawned { node = c.node; attempt = c.respawns });
-                        chaos_kill_fresh c.node pid
-                      end
-                    end
-                    else
-                      match Unix.waitpid [ Unix.WNOHANG ] c.os_pid with
-                      | 0, _ -> ()
-                      | _, _ ->
-                        if c.respawns >= cfg.respawn_budget then
-                          failure :=
-                            Some
-                              (Printf.sprintf
-                                 "live: node %d died %d times during startup \
-                                  (respawn budget %d exhausted)"
-                                 c.node (c.respawns + 1) cfg.respawn_budget)
-                        else begin
-                          let backoff =
-                            cfg.respawn_backoff
-                            *. Float.of_int (1 lsl c.respawns)
-                          in
-                          vlog cfg
-                            "node %d died during startup; respawning in %.2fs"
-                            c.node backoff;
-                          (match c.status_fd with
-                          | Some fd ->
-                            close_parent_fd parent_fds fd;
-                            c.status_fd <- None
-                          | None -> ());
-                          (match c.go_fd with
-                          | Some fd ->
-                            close_parent_fd parent_fds fd;
-                            c.go_fd <- None
-                          | None -> ());
-                          c.awaiting_respawn <- true;
-                          c.next_respawn_at <- Sockets.now () +. backoff
-                        end
-                      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ())
-                children;
-              match !failure with Some e -> Error e | None -> go ()
-            end
+        let spawn i =
+          let log = Filename.concat dir (Printf.sprintf "node-%d.log" i) in
+          let c =
+            Proc.spawn ~log ~node:i
+              { rounds = []; decided = None; undecided_evt = false; final = None }
+              (fun ends ->
+                Node.Rwwc.main
+                  {
+                    Node.me = i;
+                    n;
+                    t;
+                    proposal = proposals.(i - 1);
+                    transport = node_transport cfg;
+                    big_d = cfg.big_d;
+                    delta = cfg.delta;
+                    max_rounds;
+                    kill = Script.find cfg.script (Pid.of_int i);
+                    status = ends.Proc.status;
+                    go = ends.Proc.go;
+                    log = open_out log;
+                  })
           in
-          go ()
+          (match Hashtbl.find_opt startup_kills i with
+          | Some k when k > 0 ->
+            Hashtbl.replace startup_kills i (k - 1);
+            vlog cfg "chaos: SIGKILL node %d during startup" i;
+            ignore (Proc.kill c)
+          | Some _ | None -> ());
+          c
         in
-        let body () =
-          match wait_ready () with
-          | Error e -> Error e
-          | Ok () ->
-            let t0 = Sockets.now () +. 0.3 in
-            vlog cfg "all nodes ready; t0 in 0.3 s";
-            Array.iter
-              (fun c ->
-                match c.go_fd with
-                | None -> ()
-                | Some fd -> (
-                  let line = Printf.sprintf "go %.6f\n" t0 in
-                  try ignore (Unix.write_substring fd line 0 (String.length line))
-                  with Unix.Unix_error _ -> ()))
-              children;
-            let period = cfg.big_d +. cfg.delta in
-            let watchdog =
-              t0 +. (float_of_int max_rounds *. period) +. cfg.big_d +. 2.0
-            in
-            let unresolved () = Array.exists (fun c -> c.final = None) children in
-            let record_final c st =
-              (match st with
-              | Transcript.Killed { at_round; scripted = false } ->
-                Obs.Instrument.emit cfg.instrument
-                  (Absorbed { node = c.node; at_round })
-              | Transcript.Killed _ | Transcript.Decided _ | Transcript.Undecided
-                ->
-                ());
-              c.final <- Some st
-            in
-            let run_kills = ref cfg.chaos_run_kills in
-            let fire_run_kills () =
-              run_kills :=
-                List.filter
-                  (fun (node, delay) ->
-                    if Sockets.now () >= t0 +. delay then begin
-                      Array.iter
-                        (fun c ->
-                          if c.node = node && c.exit_obs = None then begin
-                            vlog cfg "chaos: SIGKILL node %d at t0+%.2fs" node
-                              delay;
-                            try Unix.kill c.os_pid Sys.sigkill
-                            with Unix.Unix_error _ -> ()
-                          end)
-                        children;
-                      false
-                    end
-                    else true)
-                  !run_kills
-            in
-            while unresolved () && Sockets.now () < watchdog do
-              fire_run_kills ();
-              select_pump ~timeout:0.05 parent_fds children;
-              Array.iter
-                (fun c ->
-                  if c.final = None then begin
-                    (if c.exit_obs = None then
-                       match
-                         Unix.waitpid [ Unix.WNOHANG; Unix.WUNTRACED ] c.os_pid
-                       with
-                       | 0, _ -> ()
-                       | _, Unix.WSTOPPED _ ->
-                         (* the scripted crash point: answer the node's
-                            self-stop with the real kill *)
-                         vlog cfg "node %d stopped at its kill point; SIGKILL"
-                           c.node;
-                         (try Unix.kill c.os_pid Sys.sigkill
-                          with Unix.Unix_error _ -> ());
-                         (try ignore (Unix.waitpid [] c.os_pid)
-                          with Unix.Unix_error _ -> ());
-                         c.exit_obs <- Some `Stop_killed
-                       | _, Unix.WEXITED code ->
-                         c.exit_obs <- Some (`Exited code)
-                       | _, Unix.WSIGNALED s -> c.exit_obs <- Some (`Signaled s)
-                       | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                         c.exit_obs <- Some (`Exited 0));
-                    match c.exit_obs with
-                    | Some obs when c.status_fd = None ->
-                      let st = finalize cfg c obs in
-                      vlog cfg "node %d: %s" c.node
-                        (match st with
-                        | Transcript.Decided { value; at_round } ->
-                          Printf.sprintf "decided %d in round %d" value at_round
-                        | Transcript.Killed { at_round; scripted } ->
-                          Printf.sprintf "killed in round %d (%s)" at_round
-                            (if scripted then "scripted" else "unscripted")
-                        | Transcript.Undecided -> "undecided");
-                      record_final c st
-                    | _ -> ()
-                  end)
-                children
-            done;
-            (* watchdog: anything still unresolved gets drained once more,
-               then killed and closed out *)
-            select_pump ~timeout:0.05 parent_fds children;
-            Array.iter
-              (fun c ->
-                if c.final = None then begin
-                  (match c.exit_obs with
-                  | None ->
-                    vlog cfg "node %d past the watchdog; SIGKILL" c.node;
-                    (try Unix.kill c.os_pid Sys.sigkill
-                     with Unix.Unix_error _ -> ());
-                    (try ignore (Unix.waitpid [] c.os_pid)
-                     with Unix.Unix_error _ -> ());
-                    c.final <-
-                      Some
-                        (match c.decided with
-                        | Some (value, at_round) ->
-                          Transcript.Decided { value; at_round }
-                        | None -> Transcript.Undecided)
-                  | Some obs -> record_final c (finalize cfg c obs))
-                end)
-              children;
-            let statuses =
-              Array.map
-                (fun c -> Option.value c.final ~default:Transcript.Undecided)
-                children
-            in
-            let rounds = Array.map (fun c -> List.rev c.rounds) children in
-            let max_round =
-              Array.fold_left
-                (fun acc c ->
-                  let from_status =
-                    match c.final with
-                    | Some (Transcript.Decided { at_round; _ })
-                    | Some (Transcript.Killed { at_round; _ }) ->
-                      at_round
-                    | _ -> 0
-                  in
-                  max acc (max from_status (last_round c)))
-                0 children
-            in
-            let tr =
-              { Transcript.n; t; proposals; statuses; rounds; max_round }
-            in
-            let schedule =
-              Script.to_schedule
-                ~send_plan:(Binding.Rwwc.send_plan ~n)
-                cfg.script
-            in
-            Ok (tr, Judge.judge ~schedule tr)
+        let on_restart ~died ~attempt =
+          vlog cfg
+            "node %d died during startup; fleet restarted (attempt %d of %d)"
+            died attempt cfg.respawn_budget;
+          Obs.Instrument.emit cfg.instrument
+            (Respawned { node = died; attempt })
         in
-        let result =
-          try body ()
-          with e -> Error ("live: supervisor: " ^ Printexc.to_string e)
+        let drive children =
+          let t0 = Sockets.now () +. 0.3 in
+          vlog cfg "all nodes ready; t0 in 0.3 s";
+          let go = Printf.sprintf "go %.6f\n" t0 in
+          Array.iter (fun c -> Proc.send c go) children;
+          let period = cfg.big_d +. cfg.delta in
+          let watchdog =
+            t0 +. (float_of_int max_rounds *. period) +. cfg.big_d +. 2.0
+          in
+          let unresolved () =
+            Array.exists
+              (fun (c : node Proc.child) -> c.state.final = None)
+              children
+          in
+          let record_final (c : node Proc.child) st =
+            (match st with
+            | Transcript.Killed { at_round; scripted = false } ->
+              Obs.Instrument.emit cfg.instrument
+                (Absorbed { node = c.node; at_round })
+            | Transcript.Killed _ | Transcript.Decided _ | Transcript.Undecided
+              ->
+              ());
+            c.state.final <- Some st
+          in
+          let run_kills = ref cfg.chaos_run_kills in
+          let fire_run_kills () =
+            run_kills :=
+              List.filter
+                (fun (node, delay) ->
+                  if Sockets.now () >= t0 +. delay then begin
+                    Array.iter
+                      (fun (c : node Proc.child) ->
+                        if c.node = node && Proc.kill c then
+                          vlog cfg "chaos: SIGKILL node %d at t0+%.2fs" node
+                            delay)
+                      children;
+                    false
+                  end
+                  else true)
+                !run_kills
+          in
+          let settle (c : node Proc.child) =
+            if c.state.final = None then
+              match Proc.reap c with
+              | Some obs when c.status_fd = None ->
+                record_final c (finalize cfg c obs)
+              | Some _ | None -> ()
+          in
+          while unresolved () && Sockets.now () < watchdog do
+            fire_run_kills ();
+            Proc.pump ~timeout:0.05 ~on_line:handle_event children;
+            Array.iter settle children
+          done;
+          (* watchdog: anything still unresolved gets drained once more,
+             then killed and closed out *)
+          Proc.pump ~timeout:0.05 ~on_line:handle_event children;
+          Array.iter
+            (fun (c : node Proc.child) ->
+              let s = c.state in
+              if s.final = None then
+                match c.exit with
+                | Some obs -> record_final c (finalize cfg c obs)
+                | None ->
+                  vlog cfg "node %d past the watchdog; SIGKILL" c.node;
+                  Proc.stop c;
+                  s.final <-
+                    Some
+                      (match s.decided with
+                      | Some (value, at_round) ->
+                        Transcript.Decided { value; at_round }
+                      | None -> Transcript.Undecided))
+            children;
+          let statuses =
+            Array.map
+              (fun (c : node Proc.child) ->
+                Option.value c.state.final ~default:Transcript.Undecided)
+              children
+          in
+          let rounds =
+            Array.map
+              (fun (c : node Proc.child) -> List.rev c.state.rounds)
+              children
+          in
+          let max_round =
+            Array.fold_left
+              (fun acc (c : node Proc.child) ->
+                let from_status =
+                  match c.state.final with
+                  | Some (Transcript.Decided { at_round; _ })
+                  | Some (Transcript.Killed { at_round; _ }) ->
+                    at_round
+                  | _ -> 0
+                in
+                max acc (max from_status (last_round c.state)))
+              0 children
+          in
+          let tr = { Transcript.n; t; proposals; statuses; rounds; max_round } in
+          let schedule =
+            Script.to_schedule ~send_plan:(Binding.Rwwc.send_plan ~n) cfg.script
+          in
+          Ok (tr, Judge.judge ~schedule tr)
         in
-        cleanup cfg parent_fds children;
-        result
+        let unlink =
+          match cfg.transport with
+          | `Unix dir ->
+            List.init n (fun i ->
+                Filename.concat dir (Printf.sprintf "node-%d.sock" (i + 1)))
+          | `Tcp _ -> []
+        in
+        match
+          Proc.supervise ~unlink ~n ~spawn
+            ~budget:
+              (Proc.budget ~limit:cfg.respawn_budget
+                 ~backoff:cfg.respawn_backoff)
+            ~on_line:handle_event ~on_restart drive
+        with
+        | Ok _ as ok -> ok
+        | Error e -> Error ("live: " ^ e)
       end)

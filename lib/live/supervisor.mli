@@ -6,13 +6,14 @@
 
     + fork the fleet (one [Node] process each, with a status pipe back to
       the supervisor, a go pipe forward, and a per-node log file);
-    + wait for every node's [ready] — a node that dies during startup is
-      respawned with exponential backoff, up to [respawn_budget] times (the
-      self-healing window: before the mesh forms, a fresh process can still
-      take its place); exhausting the budget or the readiness timeout
-      aborts the run;
+    + wait for every node's [ready] — a death before [go] restarts the
+      whole fleet with exponential backoff, up to [respawn_budget] times
+      ({!Proc.supervise}: each mesh handshake runs once, so a lone
+      replacement could never rejoin peers that dialed its dead
+      predecessor); exhausting the budget or the readiness timeout aborts
+      the run;
     + broadcast [go t0], the common round-clock origin;
-    + collect events, watching children with [waitpid(WUNTRACED)]: a
+    + collect events, watching children with {!Proc.reap}: a
       SIGSTOP is a node at its scripted crash point, answered with a real
       [SIGKILL]; an unexpected death is absorbed as one more (unscripted)
       crash and the run continues; a watchdog kills stragglers past the
@@ -29,8 +30,8 @@
 
 type event =
   | Respawned of { node : int; attempt : int }
-      (** a node that died before the mesh formed was replaced by a fresh
-          process; [attempt] counts from 1 up to the respawn budget *)
+      (** [node] died before [go] and the whole fleet was restarted;
+          [attempt] counts from 1 up to the respawn budget *)
   | Absorbed of { node : int; at_round : int }
       (** an unscripted post-mesh death was absorbed as one more crash and
           the run continued *)
@@ -52,8 +53,7 @@ type config = {
   max_rounds : int option;  (** default: [t + 2] *)
   verbose : bool;  (** progress lines on stderr *)
   respawn_budget : int;
-      (** startup respawns allowed per node (default 1 — the historical
-          respawn-once window) *)
+      (** whole-fleet restarts allowed before [go] (default 1) *)
   respawn_backoff : float;
       (** base respawn delay in seconds, doubling per attempt (default
           0.05) *)
@@ -62,7 +62,8 @@ type config = {
   chaos_startup_kills : int list;
       (** fault injection for soaks: each listed node is SIGKILLed by the
           supervisor right after (re)spawn, before it can become ready —
-          listing a node twice kills its replacement too.  Default []. *)
+          listing a node twice kills it again after the fleet restart.
+          Default []. *)
   chaos_run_kills : (int * float) list;
       (** fault injection for soaks: node [i] is SIGKILLed [delay] seconds
           after [t0] — an unscripted death the run must absorb.

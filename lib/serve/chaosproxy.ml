@@ -233,11 +233,11 @@ let spawn ~transport ~n link =
       Error
         (Printf.sprintf "chaos proxy %d->%d: %s" link.src link.dst
            (Live.Sockets.error_to_string e))
-    | Ok lfd -> (
-      match Unix.fork () with
-      | 0 ->
-        (try proxy_main ~transport ~lfd link with _ -> ());
-        Unix._exit 0
-      | pid ->
-        (try Unix.close lfd with Unix.Unix_error _ -> ());
-        Ok pid))
+    | Ok lfd ->
+      let pid =
+        Live.Proc.fork (fun () ->
+            (try proxy_main ~transport ~lfd link with _ -> ());
+            0)
+      in
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      Ok pid)

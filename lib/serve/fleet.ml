@@ -20,35 +20,19 @@ type config = {
   verbose : bool;
 }
 
-let rec mkdir_p dir =
-  if dir <> "/" && dir <> "." && dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
+let vlog cfg fmt = Live.Proc.vlog cfg.verbose "serve" fmt
 
-let vlog cfg fmt =
-  Printf.ksprintf
-    (fun s -> if cfg.verbose then Printf.eprintf "serve: %s\n%!" s)
-    fmt
-
-type child = {
-  node : int;
-  mutable os_pid : int;
-  mutable status_fd : Unix.file_descr option;
-  buf : Buffer.t;
-  mutable ready : bool;
+(* What the fleet learns about one engine, across its respawned lives. *)
+type engine = {
   mutable realized : Mux.realized list option;  (* from a "halted" event *)
   mutable stats : Stats.t option;  (* summed across lives *)
-  mutable reaped : bool;
-  mutable respawns : int;  (* respawn-budget consumed, Supervisor-style *)
+  budget : Live.Proc.budget;  (* charged when a respawn is scheduled *)
   mutable respawn_at : float;  (* 0.0 = no respawn pending *)
+  mutable respawns : int;  (* respawns actually performed *)
 }
 
-let close_parent_fd parent_fds fd =
-  parent_fds := List.filter (fun f -> f <> fd) !parent_fds;
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let handle_event c line =
+let handle_event (c : engine Live.Proc.child) line =
+  let e = c.state in
   match Obs.Json.of_string line with
   | Error _ -> ()
   | Ok j -> (
@@ -60,15 +44,15 @@ let handle_event c line =
         match Stats.of_json sj with
         | Error _ -> ()
         | Ok s -> (
-          match c.stats with
-          | None -> c.stats <- Some s
+          match e.stats with
+          | None -> e.stats <- Some s
           | Some old ->
             Stats.add old s;
-            c.stats <- Some old))
+            e.stats <- Some old))
       | None -> ()
     in
     match Obs.Json.member "event" j with
-    | Some (Obs.Json.String "ready") -> c.ready <- true
+    | Some (Obs.Json.String "ready") -> Live.Proc.mark_ready c
     | Some (Obs.Json.String "stats") -> merge_stats ()
     | Some (Obs.Json.String "halted") ->
       merge_stats ();
@@ -82,123 +66,9 @@ let handle_event c line =
               | Error _ -> None)
             items
         in
-        c.realized <- Some rs
-      | _ -> c.realized <- Some [])
+        e.realized <- Some rs
+      | _ -> e.realized <- Some [])
     | _ -> ())
-
-let process_lines c =
-  let rec go () =
-    let s = Buffer.contents c.buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some i ->
-      let line = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      Buffer.clear c.buf;
-      Buffer.add_string c.buf rest;
-      handle_event c line;
-      go ()
-  in
-  go ()
-
-let pump parent_fds c =
-  match c.status_fd with
-  | None -> ()
-  | Some fd -> (
-    let b = Bytes.create 4096 in
-    match Unix.read fd b 0 4096 with
-    | 0 ->
-      close_parent_fd parent_fds fd;
-      c.status_fd <- None
-    | k ->
-      Buffer.add_subbytes c.buf b 0 k;
-      process_lines c
-    | exception
-        Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      ())
-
-let select_pump ~timeout parent_fds children =
-  let fds = Array.to_list children |> List.filter_map (fun c -> c.status_fd) in
-  if fds = [] then (
-    if timeout > 0.0 then
-      Live.Sockets.sleep_until (Live.Sockets.now () +. timeout))
-  else
-    match Unix.select fds [] [] timeout with
-    | [], _, _ -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun c ->
-          match c.status_fd with
-          | Some fd when List.mem fd ready -> pump parent_fds c
-          | _ -> ())
-        children
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-
-(* A killed engine (SIGSTOP answered with SIGKILL, or a direct SIGKILL
-   from the driver / a chaos script) is eligible for a supervised
-   respawn: budgeted attempts with exponential backoff, the
-   {!Live.Supervisor} idiom.  A clean exit is never respawned. *)
-let schedule_respawn cfg ~accepting c =
-  if cfg.respawn && accepting then
-    if c.respawns >= cfg.respawn_budget then
-      vlog cfg "node %d: respawn budget (%d) exhausted" c.node
-        cfg.respawn_budget
-    else begin
-      let backoff =
-        cfg.respawn_backoff *. (2.0 ** float_of_int c.respawns)
-      in
-      c.respawn_at <- Live.Sockets.now () +. backoff;
-      vlog cfg "node %d died; respawn in %.2fs (attempt %d of %d)" c.node
-        backoff (c.respawns + 1) cfg.respawn_budget
-    end
-
-(* SIGSTOP from a kill-budget halt is answered with the real SIGKILL;
-   normal exits are just reaped. *)
-let reap_one cfg ~accepting c =
-  if not c.reaped then
-    match Unix.waitpid [ Unix.WNOHANG; Unix.WUNTRACED ] c.os_pid with
-    | 0, _ -> ()
-    | _, Unix.WSTOPPED _ ->
-      vlog cfg "node %d stopped at its kill point; SIGKILL" c.node;
-      (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-      c.reaped <- true;
-      schedule_respawn cfg ~accepting c
-    | _, Unix.WSIGNALED _ ->
-      c.reaped <- true;
-      schedule_respawn cfg ~accepting c
-    | _, Unix.WEXITED _ -> c.reaped <- true
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> c.reaped <- true
-
-let cleanup cfg parent_fds children proxies =
-  Array.iter
-    (fun c ->
-      if not c.reaped then begin
-        (try Unix.kill c.os_pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] c.os_pid) with Unix.Unix_error _ -> ());
-        c.reaped <- true
-      end)
-    children;
-  List.iter
-    (fun pid ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-    proxies;
-  List.iter
-    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-    !parent_fds;
-  parent_fds := [];
-  Array.iter (fun c -> c.status_fd <- None) children;
-  List.iter
-    (fun link -> Chaosproxy.cleanup ~transport:cfg.transport ~n:cfg.n link)
-    cfg.chaos;
-  match cfg.transport with
-  | `Unix dir ->
-    for i = 1 to cfg.n do
-      try Unix.unlink (Filename.concat dir (Printf.sprintf "node-%d.sock" i))
-      with Unix.Unix_error _ -> ()
-    done
-  | `Tcp _ -> ()
 
 type mesh = {
   victim : (int * Mux.realized list) option;
@@ -206,11 +76,146 @@ type mesh = {
   respawned : (int * int) list;
 }
 
-(* Spawn the engines, wait for every mesh handshake, run [drive] with an
-   [on_idle] that pumps status pipes, answers the victim's SIGSTOP, and
-   respawns killed engines, then drain final stats and tear everything
-   down.  [run] and the soak / multi-client tests are all this skeleton
-   with a different [drive]. *)
+let engine_log cfg i =
+  Filename.concat cfg.workspace (Printf.sprintf "serve-%d.log" i)
+
+let engine_main cfg ~max_rounds ~rejoin i (ends : Live.Proc.ends) =
+  let dial =
+    if cfg.chaos = [] then None
+    else
+      Some
+        (fun p ->
+          if
+            List.exists
+              (fun l -> l.Chaosproxy.src = i && l.Chaosproxy.dst = p)
+              cfg.chaos
+          then
+            Chaosproxy.proxy_addr ~transport:cfg.transport ~n:cfg.n ~src:i
+              ~dst:p
+          else Live.Sockets.addr_of ~transport:cfg.transport p)
+  in
+  Engine.Rwwc.main
+    {
+      Engine.me = i;
+      n = cfg.n;
+      t = cfg.t;
+      transport = cfg.transport;
+      big_d = cfg.big_d;
+      max_rounds;
+      batch = cfg.batch;
+      backend = cfg.backend;
+      kill_after =
+        (match cfg.kill with
+        | Some k when k.Report.node = i && not rejoin ->
+          Some k.Report.after_frames
+        | _ -> None);
+      linger = false;
+      wal_dir = (if cfg.wal || cfg.respawn then Some cfg.workspace else None);
+      rejoin;
+      dial;
+      status = ends.Live.Proc.status;
+      log = open_out_gen [ Open_append; Open_creat ] 0o644 (engine_log cfg i);
+    }
+
+(* The drive phase: [drive] runs with an [on_idle] that pumps status
+   pipes, reaps (answering the victim's SIGSTOP) and respawns killed
+   engines; then final stats are drained. *)
+let drive_mesh cfg ~max_rounds drive children =
+  vlog cfg "all engines ready";
+  (* Respawns stop once the drive is over: a victim dying during teardown
+     stays down. *)
+  let accepting = ref true in
+  (* A killed engine (SIGSTOP answered with SIGKILL, or a direct SIGKILL
+     from [drive] / a chaos script) is eligible for a budgeted,
+     backed-off respawn; a clean exit never is. *)
+  let reap_one (c : engine Live.Proc.child) =
+    if c.exit = None then
+      match Live.Proc.reap c with
+      | Some (Live.Proc.Stop_killed | Live.Proc.Signaled _)
+        when cfg.respawn && !accepting -> (
+        match Live.Proc.charge c.state.budget with
+        | None ->
+          vlog cfg "node %d: respawn budget (%d) exhausted" c.node
+            cfg.respawn_budget
+        | Some delay ->
+          c.state.respawn_at <- Live.Sockets.now () +. delay;
+          vlog cfg "node %d died; respawn in %.2fs (attempt %d of %d)" c.node
+            delay
+            (Live.Proc.spent c.state.budget)
+            cfg.respawn_budget)
+      | Some _ | None -> ()
+  in
+  let maybe_respawn () =
+    if !accepting then
+      Array.iter
+        (fun (c : engine Live.Proc.child) ->
+          let e = c.state in
+          if e.respawn_at > 0.0 && Live.Sockets.now () >= e.respawn_at
+          then begin
+            Live.Proc.respawn c
+              (engine_main cfg ~max_rounds ~rejoin:true c.node);
+            e.respawn_at <- 0.0;
+            e.respawns <- e.respawns + 1;
+            vlog cfg "node %d respawned (attempt %d of %d, pid %d)" c.node
+              (Live.Proc.spent e.budget) cfg.respawn_budget c.pid
+          end)
+        children
+  in
+  let on_idle () =
+    Live.Proc.pump ~timeout:0.0 ~on_line:handle_event children;
+    Array.iter reap_one children;
+    maybe_respawn ()
+  in
+  (* A direct SIGKILL for drives that storm the fleet with scheduled
+     crashes ([--kill-every]); the reap path then applies the same respawn
+     policy as a budget kill. *)
+  let kill node =
+    match
+      Array.find_opt (fun (c : engine Live.Proc.child) -> c.node = node) children
+    with
+    | Some c when c.exit = None ->
+      vlog cfg "drive kills node %d (pid %d)" node c.pid;
+      Live.Proc.kill c
+    | Some _ | None -> false
+  in
+  match drive ~on_idle ~kill with
+  | Error e -> Error e
+  | Ok v ->
+    accepting := false;
+    (* Engines exit once the last client hangs up; drain their final stats
+       events, answer a late SIGSTOP, then close out. *)
+    let grace = Live.Sockets.now () +. 5.0 in
+    while
+      Array.exists
+        (fun (c : engine Live.Proc.child) -> c.status_fd <> None)
+        children
+      && Live.Sockets.now () < grace
+    do
+      Live.Proc.pump ~timeout:0.05 ~on_line:handle_event children;
+      Array.iter reap_one children
+    done;
+    Array.iter reap_one children;
+    let collect f = Array.to_list children |> List.filter_map f in
+    Ok
+      ( v,
+        {
+          victim =
+            Array.to_list children
+            |> List.find_map (fun (c : engine Live.Proc.child) ->
+                   Option.map (fun rs -> (c.node, rs)) c.state.realized);
+          node_stats =
+            collect (fun (c : engine Live.Proc.child) ->
+                Option.map (fun s -> (c.node, s)) c.state.stats);
+          respawned =
+            collect (fun (c : engine Live.Proc.child) ->
+                match c.state.respawns with
+                | 0 -> None
+                | k -> Some (c.node, k));
+        } )
+
+(* Bring up the chaos proxies, then the engines; wait for every mesh
+   handshake; drive; tear everything down.  [run] and the soak /
+   multi-client tests are all this skeleton with a different [drive]. *)
 let with_mesh cfg drive =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   if cfg.n < 2 then Error "serve fleet: need n >= 2"
@@ -219,8 +224,7 @@ let with_mesh cfg drive =
     let max_rounds =
       match cfg.max_rounds with Some m -> m | None -> cfg.t + 1
     in
-    mkdir_p cfg.workspace;
-    let parent_fds = ref [] in
+    Live.Proc.mkdir_p cfg.workspace;
     (* Chaos proxies come up before any engine, so the first dial through
        an interposed link already finds its listener. *)
     let proxies = ref [] in
@@ -235,228 +239,47 @@ let with_mesh cfg drive =
             proxies := pid :: !proxies
           | Error e -> proxy_err := Some e)
       cfg.chaos;
-    match !proxy_err with
-    | Some e ->
-      cleanup cfg parent_fds [||] !proxies;
-      Error ("serve fleet: " ^ e)
-    | None ->
-      let wal_dir =
-        if cfg.wal || cfg.respawn then Some cfg.workspace else None
-      in
-      let dial_for i =
-        if cfg.chaos = [] then None
-        else
-          Some
-            (fun p ->
-              if
-                List.exists
-                  (fun l -> l.Chaosproxy.src = i && l.Chaosproxy.dst = p)
-                  cfg.chaos
-              then
-                Chaosproxy.proxy_addr ~transport:cfg.transport ~n:cfg.n ~src:i
-                  ~dst:p
-              else Live.Sockets.addr_of ~transport:cfg.transport p)
-      in
-      let spawn_child ~rejoin i =
-        let status_r, status_w = Unix.pipe () in
-        match Unix.fork () with
-        | 0 ->
-          (try
-             Unix.close status_r;
-             List.iter
-               (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-               !parent_fds;
-             let log =
-               open_out_gen
-                 [ Open_append; Open_creat ]
-                 0o644
-                 (Filename.concat cfg.workspace
-                    (Printf.sprintf "serve-%d.log" i))
-             in
-             let kill_after =
-               match cfg.kill with
-               | Some k when k.Report.node = i && not rejoin ->
-                 Some k.Report.after_frames
-               | _ -> None
-             in
-             Engine.Rwwc.main
-               {
-                 Engine.me = i;
-                 n = cfg.n;
-                 t = cfg.t;
-                 transport = cfg.transport;
-                 big_d = cfg.big_d;
-                 max_rounds;
-                 batch = cfg.batch;
-                 backend = cfg.backend;
-                 kill_after;
-                 linger = false;
-                 wal_dir;
-                 rejoin;
-                 dial = dial_for i;
-                 status = Unix.out_channel_of_descr status_w;
-                 log;
-               };
-             Unix._exit 0
-           with e ->
-             (try
-                let oc =
-                  open_out_gen
-                    [ Open_append; Open_creat ]
-                    0o644
-                    (Filename.concat cfg.workspace
-                       (Printf.sprintf "serve-%d.log" i))
-                in
-                Printf.fprintf oc "fatal: %s\n" (Printexc.to_string e);
-                close_out oc
-              with _ -> ());
-             Unix._exit 3)
-        | pid ->
-          Unix.close status_w;
-          parent_fds := status_r :: !parent_fds;
-          (pid, status_r)
-      in
-      let children =
-        Array.init cfg.n (fun idx ->
-            let i = idx + 1 in
-            let pid, status_r = spawn_child ~rejoin:false i in
-            {
-              node = i;
-              os_pid = pid;
-              status_fd = Some status_r;
-              buf = Buffer.create 256;
-              ready = false;
-              realized = None;
-              stats = None;
-              reaped = false;
-              respawns = 0;
-              respawn_at = 0.0;
-            })
-      in
-      vlog cfg "spawned %d engines" cfg.n;
-      (* Respawns stop once the drive is over: a victim dying during
-         teardown stays down. *)
-      let accepting = ref true in
-      let maybe_respawn () =
-        if !accepting then
-          Array.iter
-            (fun c ->
-              if
-                c.reaped && c.respawn_at > 0.0
-                && Live.Sockets.now () >= c.respawn_at
-              then begin
-                (match c.status_fd with
-                | Some fd ->
-                  close_parent_fd parent_fds fd;
-                  c.status_fd <- None
-                | None -> ());
-                let pid, status_r = spawn_child ~rejoin:true c.node in
-                c.os_pid <- pid;
-                c.status_fd <- Some status_r;
-                Buffer.clear c.buf;
-                c.ready <- false;
-                c.reaped <- false;
-                c.respawn_at <- 0.0;
-                c.respawns <- c.respawns + 1;
-                vlog cfg "node %d respawned (attempt %d of %d, pid %d)"
-                  c.node c.respawns cfg.respawn_budget pid
-              end)
-            children
-      in
-      let body () =
-        (* Startup: every engine reports ready once its mesh is up. *)
-        let start_deadline = Live.Sockets.now () +. 15.0 in
-        let rec wait_ready () =
-          if Array.for_all (fun c -> c.ready) children then Ok ()
-          else if Live.Sockets.now () > start_deadline then
-            Error "serve fleet: startup timeout — not every engine became ready"
-          else begin
-            select_pump ~timeout:0.05 parent_fds children;
-            let died =
-              Array.exists
-                (fun c ->
-                  (not c.ready)
-                  &&
-                  match Unix.waitpid [ Unix.WNOHANG ] c.os_pid with
-                  | 0, _ -> false
-                  | _, _ ->
-                    c.reaped <- true;
-                    true
-                  | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-                    c.reaped <- true;
-                    true)
-                children
-            in
-            if died then
-              Error "serve fleet: an engine died during startup (see logs)"
-            else wait_ready ()
-          end
-        in
-        match wait_ready () with
-        | Error e -> Error e
-        | Ok () ->
-          vlog cfg "all engines ready";
-          let on_idle () =
-            select_pump ~timeout:0.0 parent_fds children;
-            Array.iter (reap_one cfg ~accepting:!accepting) children;
-            maybe_respawn ()
-          in
-          (* A direct SIGKILL for drivers that storm the fleet with
-             scheduled crashes ([--kill-every]); the reap path then
-             applies the same respawn policy as a budget kill. *)
-          let kill node =
-            match Array.find_opt (fun c -> c.node = node) children with
-            | Some c when not c.reaped -> (
-              vlog cfg "driver kills node %d (pid %d)" node c.os_pid;
-              match Unix.kill c.os_pid Sys.sigkill with
-              | () -> true
-              | exception Unix.Unix_error _ -> false)
-            | _ -> false
-          in
-          (match drive ~on_idle ~kill with
-          | Error e -> Error e
-          | Ok v ->
-            accepting := false;
-            (* Engines exit once the last client hangs up; drain their
-               final stats events, answer a late SIGSTOP, then close
-               out. *)
-            let grace = Live.Sockets.now () +. 5.0 in
-            while
-              Array.exists (fun c -> c.status_fd <> None) children
-              && Live.Sockets.now () < grace
-            do
-              select_pump ~timeout:0.05 parent_fds children;
-              Array.iter (reap_one cfg ~accepting:false) children
-            done;
-            Array.iter (reap_one cfg ~accepting:false) children;
-            let victim =
-              Array.to_list children
-              |> List.find_map (fun c ->
-                     match c.realized with
-                     | Some rs -> Some (c.node, rs)
-                     | None -> None)
-            in
-            let node_stats =
-              Array.to_list children
-              |> List.filter_map (fun c ->
-                     match c.stats with
-                     | Some s -> Some (c.node, s)
-                     | None -> None)
-            in
-            let respawned =
-              Array.to_list children
-              |> List.filter_map (fun c ->
-                     if c.respawns > 0 then Some (c.node, c.respawns)
-                     else None)
-            in
-            Ok (v, { victim; node_stats; respawned }))
-      in
-      let result =
-        try body ()
-        with e -> Error ("serve fleet: " ^ Printexc.to_string e)
-      in
-      cleanup cfg parent_fds children !proxies;
-      result
+    let spawn i =
+      Live.Proc.spawn ~log:(engine_log cfg i) ~node:i
+        {
+          realized = None;
+          stats = None;
+          budget =
+            Live.Proc.budget ~limit:cfg.respawn_budget
+              ~backoff:cfg.respawn_backoff;
+          respawn_at = 0.0;
+          respawns = 0;
+        }
+        (engine_main cfg ~max_rounds ~rejoin:false i)
+    in
+    let unlink =
+      match cfg.transport with
+      | `Unix dir ->
+        List.init cfg.n (fun i ->
+            Filename.concat dir (Printf.sprintf "node-%d.sock" (i + 1)))
+      | `Tcp _ -> []
+    in
+    let result =
+      match !proxy_err with
+      | Some e -> Error ("serve fleet: " ^ e)
+      | None -> (
+        (* Budget 0: an engine that dies before the mesh forms fails the
+           run fast. *)
+        match
+          Live.Proc.supervise ~unlink ~n:cfg.n ~spawn
+            ~budget:(Live.Proc.budget ~limit:0 ~backoff:0.0)
+            ~on_line:handle_event
+            ~on_restart:(fun ~died:_ ~attempt:_ -> ())
+            (fun children -> Ok (drive_mesh cfg ~max_rounds drive children))
+        with
+        | Ok r -> r
+        | Error e -> Error ("serve fleet: " ^ e))
+    in
+    List.iter Live.Proc.terminate !proxies;
+    List.iter
+      (fun link -> Chaosproxy.cleanup ~transport:cfg.transport ~n:cfg.n link)
+      cfg.chaos;
+    result
   end
 
 let default_timeout cfg =
@@ -484,16 +307,13 @@ let run cfg =
         reconnect = cfg.respawn;
       }
     in
-    match Client.run ~on_idle ~tick:0.05 client_cfg with
-    | Error e -> Error ("serve fleet: client: " ^ e)
-    | Ok outcome -> Ok outcome
+    Client.run ~on_idle ~tick:0.05 client_cfg
+    |> Result.map_error (fun e -> "serve fleet: client: " ^ e)
   in
-  match with_mesh cfg drive with
-  | Error e -> Error e
-  | Ok (outcome, mesh) ->
-    Ok
-      (Report.build ~n:cfg.n ~t:cfg.t ~proposals:cfg.proposals
-         ~decisions:outcome.Client.decisions ~victim:mesh.victim
-         ~send_plan:Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
-         ~latencies:outcome.Client.latencies ~stats:mesh.node_stats
-         ~kill:cfg.kill)
+  with_mesh cfg drive
+  |> Result.map (fun (outcome, mesh) ->
+         Report.build ~n:cfg.n ~t:cfg.t ~proposals:cfg.proposals
+           ~decisions:outcome.Client.decisions ~victim:mesh.victim
+           ~send_plan:Binding.Rwwc.send_plan ~elapsed:outcome.Client.elapsed
+           ~latencies:outcome.Client.latencies ~stats:mesh.node_stats
+           ~kill:cfg.kill)

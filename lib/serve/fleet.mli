@@ -7,10 +7,12 @@
     jobs; a kill-budget victim's SIGSTOP is answered with SIGKILL from
     the same hook — mid-storm, while the other engines keep deciding.
 
-    With [respawn], a killed engine does not stay dead: the same hook
-    re-forks it with {!Engine.config.rejoin} set (replay the WAL, re-dial
-    the mesh, catch up before serving), under the {!Live.Supervisor}
-    respawn-budget / exponential-backoff idiom.  Clean exits are never
+    Process mechanics are {!Live.Proc}'s.  An engine that dies before the
+    mesh forms fails the run (a startup budget of 0).  With [respawn], an
+    engine killed after that does not stay dead: the same hook re-forks it
+    with {!Engine.config.rejoin} set (replay the WAL, re-dial the mesh,
+    catch up before serving), with a per-node {!Live.Proc.budget} of
+    [respawn_budget] backed-off attempts.  Clean exits are never
     respawned.  [chaos] interposes a {!Chaosproxy} on each listed mesh
     link via the dialing engine's [dial] override. *)
 
@@ -41,7 +43,7 @@ type mesh = {
       (** the kill victim's realized per-instance crash points *)
   node_stats : (int * Stats.t) list;
       (** final per-engine event-loop stats, summed across respawn lives *)
-  respawned : (int * int) list;  (** node, respawn attempts consumed *)
+  respawned : (int * int) list;  (** node, respawns performed *)
 }
 
 val with_mesh :

@@ -1,5 +1,7 @@
 let magic = "SAWL"
-let version = 1
+(* 2: entries are frames whose CRC covers the frame header as well as the
+   body, so a version-1 log reads as "unknown version", not as torn. *)
+let version = 2
 let header_len = 12
 
 type t = { fd : Unix.file_descr; mutable appended : int }
@@ -8,23 +10,13 @@ type recovery = { entries : entry list; discarded : int }
 
 let path ~dir ~node = Filename.concat dir (Printf.sprintf "wal-p%d.bin" node)
 
-let be32 s off =
-  (Char.code s.[off] lsl 24)
-  lor (Char.code s.[off + 1] lsl 16)
-  lor (Char.code s.[off + 2] lsl 8)
-  lor Char.code s.[off + 3]
+let be32 s off = Int32.to_int (String.get_int32_be s off) land 0xFFFFFFFF
 
 let header ~node =
   let b = Buffer.create header_len in
   Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr ((version lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((version lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((version lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (version land 0xff));
-  Buffer.add_char b (Char.chr ((node lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((node lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((node lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (node land 0xff));
+  Buffer.add_int32_be b (Int32.of_int version);
+  Buffer.add_int32_be b (Int32.of_int node);
   Buffer.contents b
 
 let check_header ~node s =

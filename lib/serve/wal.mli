@@ -6,9 +6,10 @@
     replays its WAL to re-seed the mux's decision log, so re-submitted
     instances are answered idempotently and never re-run.
 
-    Layout: a 12-byte header — magic ["SAWL"], a be32 format version and
-    the be32 owning node id (a header mismatch means the file is not this
-    node's log and recovery degrades to a clean fresh join) — followed by
+    Layout: a 12-byte header — magic ["SAWL"], a be32 format version (2)
+    and the be32 owning node id (a header mismatch means the file is not
+    this node's log and recovery degrades to a clean fresh join) —
+    followed by
     one CRC-framed {!Live.Frame.Decide} per decision, exactly the wire
     encoding.  Reads are incremental and adversarial, in the
     [Minimize.Repro.load] tradition: a torn tail (the fsync'd prefix of a

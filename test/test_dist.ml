@@ -333,15 +333,13 @@ let test_fleet_absorbs_worker_kill () =
     Alcotest.(check bool) "the killed worker's lease was re-granted" true
       (r.Dist.Coordinator.regrants >= 1)
 
-(* --- resume after coordinator SIGKILL -------------------------------------- *)
-
-let fork_coordinator ~checkpoint ~addr job =
+let fork_coordinator ?checkpoint ~addr job =
   match Unix.fork () with
   | 0 ->
     let code =
       match
         Dist.Coordinator.serve
-          (Dist.Coordinator.config ~lease_timeout:1.0 ~checkpoint ~addr job)
+          (Dist.Coordinator.config ~lease_timeout:1.0 ?checkpoint ~addr job)
       with
       | Ok _ -> 0
       | Error why ->
@@ -350,6 +348,57 @@ let fork_coordinator ~checkpoint ~addr job =
     in
     Unix._exit code
   | pid -> pid
+
+(* Wait for [pid] until [deadline]; [None] if it is still running. *)
+let rec wait_until deadline pid =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ when Unix.gettimeofday () < deadline ->
+    Unix.sleepf 0.05;
+    wait_until deadline pid
+  | 0, _ -> None
+  | _, status -> Some status
+
+(* A remote fleet ([min_workers] 0) must not wait on a client that said
+   hello and then went silent before its first request: the one real
+   worker has to be able to take every shard, lease after lease. *)
+let test_stalled_hello_does_not_block () =
+  let sock = tmp_name "stalled.sock" in
+  cleanup [ sock ];
+  let addr = Unix.ADDR_UNIX sock in
+  let job = { sample_job with P.shards = 4 } in
+  let coord = fork_coordinator ~addr job in
+  let stalled =
+    match
+      Live.Sockets.connect_retry ~deadline:(Unix.gettimeofday () +. 10.0) addr
+    with
+    | Ok fd -> P.conn fd
+    | Error e -> Alcotest.fail (Live.Sockets.error_to_string e)
+  in
+  (match P.send stalled (P.Hello { worker = "stalled" }) with
+  | Ok () -> ()
+  | Error why -> Alcotest.fail why);
+  (* the job reply proves the coordinator has registered the hello *)
+  (match P.recv ~deadline:(Unix.gettimeofday () +. 10.0) stalled with
+  | `Msg (P.Job _) -> ()
+  | `Msg m -> Alcotest.fail (Format.asprintf "expected the job, got %a" P.pp_msg m)
+  | `Timeout | `Closed _ -> Alcotest.fail "no job for the stalled client");
+  let worker = Dist.Fleet.spawn_worker ~addr () in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  let coord_status = wait_until deadline coord in
+  let worker_status = wait_until deadline worker in
+  P.close stalled;
+  List.iter
+    (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+    [ coord; worker ];
+  (try ignore (Unix.waitpid [] coord) with Unix.Unix_error _ -> ());
+  (try ignore (Unix.waitpid [] worker) with Unix.Unix_error _ -> ());
+  cleanup [ sock ];
+  Alcotest.(check bool) "the sweep completed" true
+    (coord_status = Some (Unix.WEXITED 0));
+  Alcotest.(check bool) "the worker finished cleanly" true
+    (worker_status = Some (Unix.WEXITED 0))
+
+(* --- resume after coordinator SIGKILL -------------------------------------- *)
 
 (* The acceptance scenario, end to end at the paper-scale sweep
    (n = 5, max_f = 3: 6048 canonical classes over 3.3M raw schedules):
@@ -467,6 +516,8 @@ let () =
             test_fleet_broken_algo_reports_violations;
           Alcotest.test_case "absorbs a worker kill" `Quick
             test_fleet_absorbs_worker_kill;
+          Alcotest.test_case "stalled hello does not block the sweep" `Quick
+            test_stalled_hello_does_not_block;
         ] );
       ( "resume",
         [

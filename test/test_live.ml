@@ -273,102 +273,66 @@ let prop_frame_fuzz_corruption =
             QCheck2.Test.fail_reportf "decoder resumed after terminal state");
           true))
 
-let test_frame_v1_compat () =
-  (* Captures from pre-instance-id builds still parse: v1 bytes decode to
-     the same frames with instance 0. *)
-  let olds =
-    [
-      Live.Frame.Hello { node = 2 };
-      Live.Frame.Data { instance = 0; round = 3; payload = "\x01\x02" };
-      Live.Frame.Ctl { instance = 0; round = 5 };
-    ]
-  in
-  let d = Live.Frame.decoder () in
-  List.iter
-    (fun f -> Live.Frame.feed_string d (Live.Frame.encode_v1 f))
-    olds;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "v1 frame decodes unchanged" true
-        (Live.Frame.equal f (pop_frame d)))
-    olds;
-  (* v1 cannot express a nonzero instance or the client-facing kinds. *)
-  List.iter
-    (fun f ->
-      match Live.Frame.encode_v1 f with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "encode_v1 accepted an inexpressible frame")
-    [
-      Live.Frame.Data { instance = 1; round = 1; payload = "" };
-      Live.Frame.Submit { instance = 0; proposal = 1 };
-      Live.Frame.Decide { instance = 0; value = 1; round = 1 };
-      Live.Frame.Catchup { instance = 0; value = 1; round = 1 };
-    ]
+(* The exhaustive counterpart of the corruption fuzz: every byte position
+   of every frame in a fixed corpus, XORed with every delta 1..255.  The
+   corpus holds each kind, and each instance-carrying kind at every varint
+   width from 1 to 5 bytes, so a header byte (magic, version, length) is
+   flipped as surely as a body or CRC byte.  No flipped frame may ever
+   decode. *)
+let sweep_instances =
+  [
+    0;
+    127;
+    128;
+    16383;
+    16384;
+    (1 lsl 21) - 1;
+    (1 lsl 21) + 1;
+    (1 lsl 28) - 1;
+    (1 lsl 28) + 1;
+    Live.Frame.max_instance;
+  ]
 
-let test_frame_v2_compat () =
-  (* v2 is v3 minus the Catchup kind: same bodies, older version byte.
-     Pin the byte-level relationship and that the v3 decoder still reads
-     v2 streams unchanged. *)
-  let olds =
-    [
-      Live.Frame.Hello { node = 3 };
-      Live.Frame.Data { instance = 7; round = 2; payload = "\xff\x00" };
-      Live.Frame.Ctl { instance = 12; round = 4 };
-      Live.Frame.Submit { instance = 9; proposal = 41 };
-      Live.Frame.Decide { instance = 9; value = 41; round = 2 };
-    ]
-  in
-  List.iter
-    (fun f ->
-      let v3 = Live.Frame.encode f and v2 = Live.Frame.encode_v2 f in
-      let patched = Bytes.of_string v3 in
-      Bytes.set patched 1 v2.[1];
-      Alcotest.(check string) "v2 = v3 with the older version byte"
-        (Bytes.to_string patched) v2)
-    olds;
-  let d = Live.Frame.decoder () in
-  List.iter
-    (fun f -> Live.Frame.feed_string d (Live.Frame.encode_v2 f))
-    olds;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "v2 frame decodes unchanged" true
-        (Live.Frame.equal f (pop_frame d)))
-    olds;
-  (* Catchup is the one thing v2 cannot say *)
-  match Live.Frame.encode_v2 (Live.Frame.Catchup { instance = 1; value = 2; round = 1 }) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "encode_v2 accepted a Catchup"
+let sweep_corpus =
+  Live.Frame.Hello { node = 3 }
+  :: List.concat_map
+       (fun instance ->
+         [
+           Live.Frame.Data { instance; round = 2; payload = "" };
+           Live.Frame.Data { instance; round = 2; payload = "\x00\x01\xfe\xff" };
+           Live.Frame.Ctl { instance; round = 5 };
+           Live.Frame.Submit { instance; proposal = 41 };
+           Live.Frame.Decide { instance; value = 7; round = 2 };
+           Live.Frame.Catchup { instance; value = 7; round = 3 };
+         ])
+       sweep_instances
 
-let test_frame_mixed_version_stream () =
-  (* One connection replaying captures from three codec generations: the
-     decoder switches per frame on the version byte. *)
-  let stream =
-    [
-      Live.Frame.encode_v1 (Live.Frame.Hello { node = 1 });
-      Live.Frame.encode_v2 (Live.Frame.Data { instance = 3; round = 1; payload = "x" });
-      Live.Frame.encode (Live.Frame.Catchup { instance = 3; value = 8; round = 2 });
-      Live.Frame.encode_v1 (Live.Frame.Ctl { instance = 0; round = 2 });
-      Live.Frame.encode (Live.Frame.Decide { instance = 3; value = 8; round = 2 });
-    ]
-  in
-  let expect =
-    [
-      Live.Frame.Hello { node = 1 };
-      Live.Frame.Data { instance = 3; round = 1; payload = "x" };
-      Live.Frame.Catchup { instance = 3; value = 8; round = 2 };
-      Live.Frame.Ctl { instance = 0; round = 2 };
-      Live.Frame.Decide { instance = 3; value = 8; round = 2 };
-    ]
-  in
-  let d = Live.Frame.decoder () in
-  Live.Frame.feed_string d (String.concat "" stream);
+let test_frame_flip_sweep () =
+  let decodes = ref 0 in
   List.iter
     (fun f ->
-      Alcotest.(check bool) "mixed-version frame" true
-        (Live.Frame.equal f (pop_frame d)))
-    expect;
-  Alcotest.(check int) "stream fully consumed" 0 (Live.Frame.buffered d)
+      let wire = Live.Frame.encode f in
+      for at = 0 to String.length wire - 1 do
+        for delta = 1 to 255 do
+          let b = Bytes.of_string wire in
+          Bytes.set b at (Char.chr (Char.code wire.[at] lxor delta));
+          let d = Live.Frame.decoder () in
+          Live.Frame.feed_string d (Bytes.to_string b);
+          incr decodes;
+          match Live.Frame.pop d with
+          | `Corrupt _ | `Need_more -> ()
+          | `Frame g ->
+            Alcotest.fail
+              (Format.asprintf "%a with byte %d ^ 0x%02x decoded as %a"
+                 Live.Frame.pp f at delta Live.Frame.pp g)
+          | exception e ->
+            Alcotest.fail
+              (Format.asprintf "%a with byte %d ^ 0x%02x: pop raised %s"
+                 Live.Frame.pp f at delta (Printexc.to_string e))
+        done
+      done)
+    sweep_corpus;
+  Alcotest.(check bool) "swept the whole corpus" true (!decodes > 100_000)
 
 let test_retry_wait_jitter_envelope () =
   (* Without a jitter stream the wait is the backoff level itself. *)
@@ -764,6 +728,144 @@ let test_supervisor_absorbs_run_kill () =
     Alcotest.(check bool) "the dead node shows as crashed" true
       (Live.Transcript.f_actual tr >= 1)
 
+(* --- Proc: closure children, no sockets ------------------------------------- *)
+
+let no_child_left () =
+  match Unix.waitpid [] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.fail (Printf.sprintf "child %d outlived supervise" pid)
+
+(* Report ready, then park on the go pipe until told to go (or killed). *)
+let report_ready (ends : Live.Proc.ends) =
+  output_string ends.Live.Proc.status "ready\n";
+  flush ends.Live.Proc.status
+
+let park (ends : Live.Proc.ends) = ignore (input_line ends.Live.Proc.go)
+
+let on_ready c line = if line = "ready" then Live.Proc.mark_ready c
+
+let proc_budget limit = Live.Proc.budget ~limit ~backoff:0.01
+
+let test_proc_prestart_death_restarts_all () =
+  (* Node 2's first incarnation dies before it is ready: every child —
+     the already-ready ones too — is replaced, and the restart is
+     reported once, against node 2. *)
+  let spawns = Array.make 4 0 in
+  let restarts = ref [] in
+  let spawn node =
+    spawns.(node) <- spawns.(node) + 1;
+    let doomed = node = 2 && spawns.(node) = 1 in
+    Live.Proc.spawn ~node () (fun ends ->
+        if doomed then failwith "dies before ready";
+        report_ready ends;
+        park ends)
+  in
+  (match
+     Live.Proc.supervise ~n:3 ~spawn ~budget:(proc_budget 2) ~on_line:on_ready
+       ~on_restart:(fun ~died ~attempt ->
+         restarts := (died, attempt) :: !restarts)
+       (fun children ->
+         Ok (Array.map (fun (c : unit Live.Proc.child) -> c.ready) children))
+   with
+  | Error e -> Alcotest.fail e
+  | Ok ready ->
+    Alcotest.(check (array bool)) "all ready" [| true; true; true |] ready);
+  Alcotest.(check (list (pair int int))) "one restart, for node 2" [ (2, 1) ]
+    !restarts;
+  Alcotest.(check (array int)) "every node spawned twice" [| 0; 2; 2; 2 |]
+    spawns;
+  no_child_left ()
+
+let test_proc_budget_exhausted () =
+  let restarts = ref 0 in
+  let spawn node =
+    Live.Proc.spawn ~node () (fun ends ->
+        if node = 2 then failwith "always dies";
+        report_ready ends;
+        park ends)
+  in
+  (match
+     Live.Proc.supervise ~n:3 ~spawn ~budget:(proc_budget 1) ~on_line:on_ready
+       ~on_restart:(fun ~died:_ ~attempt:_ -> incr restarts)
+       (fun _ -> Ok ())
+   with
+  | Ok () -> Alcotest.fail "survived an exhausted budget"
+  | Error e ->
+    Alcotest.(check bool) "names the budget" true
+      (contains ~sub:"respawn budget 1 exhausted" e));
+  Alcotest.(check int) "spent the budget" 1 !restarts;
+  no_child_left ()
+
+let test_proc_self_stop_killed () =
+  (* The crash-point idiom: a child that SIGSTOPs itself is answered with
+     SIGKILL and classified as a stop-kill. *)
+  let spawn node =
+    Live.Proc.spawn ~node () (fun ends ->
+        report_ready ends;
+        park ends;
+        Unix.kill (Unix.getpid ()) Sys.sigstop;
+        park ends)
+  in
+  let drive children =
+    let c = children.(0) in
+    Live.Proc.send c "go\n";
+    let deadline = Live.Sockets.now () +. 10.0 in
+    let rec await () =
+      match Live.Proc.reap c with
+      | Some e -> Ok e
+      | None when Live.Sockets.now () > deadline -> Error "child never ended"
+      | None ->
+        Live.Sockets.sleep_until (Live.Sockets.now () +. 0.01);
+        await ()
+    in
+    await ()
+  in
+  (match
+     Live.Proc.supervise ~n:1 ~spawn ~budget:(proc_budget 0) ~on_line:on_ready
+       ~on_restart:(fun ~died:_ ~attempt:_ -> ())
+       drive
+   with
+  | Error e -> Alcotest.fail e
+  | Ok Live.Proc.Stop_killed -> ()
+  | Ok _ -> Alcotest.fail "not classified as a stop-kill");
+  no_child_left ()
+
+let test_proc_drive_raises () =
+  let spawn node =
+    Live.Proc.spawn ~node () (fun ends ->
+        report_ready ends;
+        park ends)
+  in
+  (match
+     Live.Proc.supervise ~n:3 ~spawn ~budget:(proc_budget 0) ~on_line:on_ready
+       ~on_restart:(fun ~died:_ ~attempt:_ -> ())
+       (fun _ -> failwith "drive blew up")
+   with
+  | Ok () -> Alcotest.fail "a raising drive succeeded"
+  | Error e ->
+    Alcotest.(check bool) "carries the exception" true
+      (contains ~sub:"drive blew up" e));
+  no_child_left ()
+
+let test_proc_fork_fatal_appends () =
+  (* A raising body appends its fatal line to the log — never truncating
+     what the child wrote before — and exits 3. *)
+  let log = chaos_workspace "fatal" ^ ".log" in
+  let oc = open_out log in
+  output_string oc "before\n";
+  close_out oc;
+  let pid = Live.Proc.fork ~log (fun () -> failwith "boom") in
+  (match Live.Proc.wait pid with
+  | Live.Proc.Exited 3 -> ()
+  | _ -> Alcotest.fail "a raising body did not exit 3");
+  Alcotest.(check int) "exit code passes through" 7
+    (match Live.Proc.wait (Live.Proc.fork (fun () -> 7)) with
+    | Live.Proc.Exited c -> c
+    | _ -> -1);
+  let lines = In_channel.with_open_text log In_channel.input_all in
+  Sys.remove log;
+  Alcotest.(check string) "appended" "before\nfatal: Failure(\"boom\")\n" lines
+
 let () =
   Alcotest.run "live"
     [
@@ -780,10 +882,8 @@ let () =
           Alcotest.test_case "corruption" `Quick test_frame_corruption;
           Alcotest.test_case "bad magic" `Quick test_frame_bad_magic;
           Alcotest.test_case "varint edges" `Quick test_frame_varint_edges;
-          Alcotest.test_case "v1 compat" `Quick test_frame_v1_compat;
-          Alcotest.test_case "v2 compat" `Quick test_frame_v2_compat;
-          Alcotest.test_case "mixed-version stream" `Quick
-            test_frame_mixed_version_stream;
+          Alcotest.test_case "exhaustive byte-flip sweep" `Quick
+            test_frame_flip_sweep;
           prop_frame_varint_roundtrip;
           prop_frame_fuzz_interleaved_truncation;
           prop_frame_fuzz_corruption;
@@ -826,5 +926,18 @@ let () =
             test_supervisor_respawn_budget_exhausted;
           Alcotest.test_case "absorbs an unscripted run kill" `Quick
             test_supervisor_absorbs_run_kill;
+        ] );
+      ( "proc",
+        [
+          Alcotest.test_case "pre-ready death restarts every child" `Quick
+            test_proc_prestart_death_restarts_all;
+          Alcotest.test_case "budget exhaustion leaves no child" `Quick
+            test_proc_budget_exhausted;
+          Alcotest.test_case "self-SIGSTOP is a stop-kill" `Quick
+            test_proc_self_stop_killed;
+          Alcotest.test_case "raising drive still tears down" `Quick
+            test_proc_drive_raises;
+          Alcotest.test_case "fatal line is appended" `Quick
+            test_proc_fork_fatal_appends;
         ] );
     ]

@@ -929,6 +929,20 @@ let test_wal_byte_flip_sweep () =
       Serve.Wal.close w
   done
 
+let test_wal_old_version_refused () =
+  (* Version-1 logs framed entries with a body-only CRC: they must read as
+     a foreign format, never as a log torn right after its header. *)
+  let path = wal_tmp "v1" in
+  (try Sys.remove path with Sys_error _ -> ());
+  wal_write path [ { Serve.Wal.instance = 0; value = 1; round = 1 } ];
+  let b = Bytes.of_string (read_file path) in
+  Bytes.set b 7 '\x01';
+  write_file path (Bytes.to_string b);
+  match Serve.Wal.load ~path ~node:1 with
+  | Ok _ -> Alcotest.fail "a version-1 log was read"
+  | Error e ->
+    Alcotest.(check string) "names the version" "wal: unknown version 1" e
+
 (* --- Chaos proxy ------------------------------------------------------------- *)
 
 let chaos_rig ~tag actions =
@@ -1240,6 +1254,8 @@ let () =
           Alcotest.test_case "truncation-sweep" `Quick
             test_wal_truncation_sweep;
           Alcotest.test_case "byte-flip-sweep" `Quick test_wal_byte_flip_sweep;
+          Alcotest.test_case "version-1 log refused" `Quick
+            test_wal_old_version_refused;
         ] );
       ( "chaosproxy",
         [
