@@ -108,3 +108,14 @@ val frame_of_view : view -> t
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by popped frames. *)
+
+(** {1 Mesh handshake} *)
+
+val hello_size : int
+(** The byte size of every Hello frame: an accepting side reads exactly
+    this many bytes, so no byte sent after the handshake lands in the
+    wrong decoder. *)
+
+val hello_of : string -> (int, string) result
+(** The node id carried by exactly one Hello frame; any other frame, a
+    corrupt one or a short read is an [Error] saying what arrived. *)

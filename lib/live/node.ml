@@ -48,33 +48,6 @@ module Make (A : Binding.ALGO) = struct
       (try Unix.close fd with Unix.Unix_error _ -> ());
       peer.fd <- None
 
-  (* All Hello frames have the same size, so the accept side can read
-     exactly one — no peer bytes beyond the handshake ever land in the
-     wrong decoder. *)
-  let hello_size = String.length (Frame.encode (Frame.Hello { node = 1 }))
-
-  let read_exact ~deadline fd n =
-    let buf = Bytes.create n in
-    let rec go off =
-      if off >= n then Ok (Bytes.to_string buf)
-      else
-        let dt = deadline -. Sockets.now () in
-        if dt <= 0.0 then Error "handshake: timed out"
-        else
-          match Unix.select [ fd ] [] [] dt with
-          | [], _, _ -> go off
-          | _ :: _, _, _ -> (
-            match Unix.read fd buf off (n - off) with
-            | 0 -> Error "handshake: peer closed"
-            | k -> go (off + k)
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              go off)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
   (* Listen first, dial the higher ids (with retry — peers come up in any
      order), then accept the lower ids: every edge of the mesh has exactly
      one dialer, so the handshake cannot deadlock. *)
@@ -105,21 +78,17 @@ module Make (A : Binding.ALGO) = struct
       match Sockets.accept_timeout ~deadline lfd with
       | Error e -> failwith (Sockets.error_to_string e)
       | Ok fd -> (
-        match read_exact ~deadline fd hello_size with
-        | Error why -> failwith why
+        match Sockets.read_exact ~deadline fd Frame.hello_size with
+        | Error e -> failwith ("handshake: " ^ Sockets.error_to_string e)
         | Ok bytes -> (
-          let d = Frame.decoder () in
-          Frame.feed_string d bytes;
-          match Frame.pop d with
-          | `Frame (Frame.Hello { node }) when node >= 1 && node < cfg.me ->
+          match Frame.hello_of bytes with
+          | Error why -> failwith why
+          | Ok node when node >= 1 && node < cfg.me ->
             if peers.(node - 1).fd <> None then
               failwith (Printf.sprintf "handshake: duplicate hello from p%d" node);
             peers.(node - 1).fd <- Some fd;
             logf cfg "accepted p%d" node
-          | `Frame f ->
-            failwith (Format.asprintf "handshake: unexpected %a" Frame.pp f)
-          | `Corrupt why -> failwith ("handshake: " ^ why)
-          | `Need_more -> failwith "handshake: short hello"))
+          | Ok node -> failwith (Printf.sprintf "handshake: bad hello node %d" node)))
     done;
     Unix.close lfd
 
@@ -134,17 +103,10 @@ module Make (A : Binding.ALGO) = struct
       | _ -> failwith ("bad go line: " ^ line))
     | exception End_of_file -> failwith "supervisor vanished before go"
 
-  (* The scripted crash point: write budget exhausted.  Stop and wait for
-     the supervisor's SIGKILL — the stop is the deterministic marker, the
-     kill is real. *)
+  (* The scripted crash point: write budget exhausted. *)
   let halt_scripted cfg =
     logf cfg "scripted kill point reached: stopping for the supervisor";
-    Unix.kill (Unix.getpid ()) Sys.sigstop;
-    let rec forever () =
-      ignore (Unix.sleep 3600);
-      forever ()
-    in
-    forever ()
+    Proc.halt ()
 
   let send_round cfg peers ~round state =
     let data = A.data_sends state ~round in

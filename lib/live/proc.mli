@@ -101,6 +101,11 @@ val supervise :
     child SIGKILLed and reaped, parent pipe ends closed, [unlink] paths
     removed — also when [drive] raises, which comes back as [Error]. *)
 
+val halt : unit -> 'a
+(** A node at its crash point: stop this process (SIGSTOP) and sleep until
+    the supervisor's answering SIGKILL.  The stop is the deterministic
+    marker, the kill is real. *)
+
 val mkdir_p : string -> unit
 
 val vlog : bool -> string -> ('a, unit, string, unit) format4 -> 'a

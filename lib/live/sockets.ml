@@ -151,6 +151,31 @@ let write_all ~deadline fd s =
   in
   go 0
 
+let read_exact ~deadline fd n =
+  let buf = Bytes.create n in
+  let rec go off =
+    if off >= n then Ok (Bytes.to_string buf)
+    else
+      let dt = deadline -. now () in
+      if dt <= 0.0 then
+        err "read" (Printf.sprintf "timed out with %d of %d bytes read" off n)
+      else
+        match Unix.select [ fd ] [] [] dt with
+        | [], _, _ -> go off
+        | _ :: _, _, _ -> (
+          match Unix.read fd buf off (n - off) with
+          | 0 -> err "read" "peer closed"
+          | k -> go (off + k)
+          | exception
+              Unix.Unix_error
+                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+            go off
+          | exception Unix.Unix_error (errno, _, _) -> err ~errno "read" "")
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
+        | exception Unix.Unix_error (errno, _, _) -> err ~errno "read" "select"
+  in
+  go 0
+
 let read_chunk fd buf =
   match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> `Closed

@@ -76,6 +76,12 @@ val write_all :
     waiting for writability up to [deadline] — the per-peer send timeout.
     [Error] on timeout, EPIPE, or reset: the peer is gone. *)
 
+val read_exact :
+  deadline:float -> Unix.file_descr -> int -> (string, error) result
+(** Read exactly [n] bytes, waiting for readability up to [deadline]:
+    the mesh handshake's read of one Hello.  [Error] on timeout or when
+    the peer closes first. *)
+
 val read_chunk :
   Unix.file_descr -> bytes -> [ `Data of int | `Closed | `Nothing ]
 (** One nonblocking read: bytes read, orderly/abortive close, or nothing

@@ -85,40 +85,6 @@ module Make (A : Binding.ALGO) = struct
     output_char cfg.status '\n';
     flush cfg.status
 
-  let hello_size =
-    String.length (Live.Frame.encode (Live.Frame.Hello { node = 1 }))
-
-  let read_exact ~deadline fd n =
-    let buf = Bytes.create n in
-    let rec go off =
-      if off >= n then Ok (Bytes.to_string buf)
-      else
-        let dt = deadline -. Live.Sockets.now () in
-        if dt <= 0.0 then Error "handshake: timed out"
-        else
-          match Unix.select [ fd ] [] [] dt with
-          | [], _, _ -> go off
-          | _ :: _, _, _ -> (
-            match Unix.read fd buf off (n - off) with
-            | 0 -> Error "handshake: peer closed"
-            | k -> go (off + k)
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-              go off)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
-
-  let hello_of bytes =
-    let d = Live.Frame.decoder () in
-    Live.Frame.feed_string d bytes;
-    match Live.Frame.pop d with
-    | `Frame (Live.Frame.Hello { node }) -> Ok node
-    | `Frame f -> Error (Format.asprintf "handshake: unexpected %a" Live.Frame.pp f)
-    | `Corrupt why -> Error ("handshake: " ^ why)
-    | `Need_more -> Error "handshake: short hello"
-
   (* One loop's worth of mutable wiring: the registry maps each live fd to
      what it is, and the client list is what the round-robin rotates over. *)
   type loop = {
@@ -254,10 +220,10 @@ module Make (A : Binding.ALGO) = struct
         match Live.Sockets.accept_timeout ~deadline lfd with
         | Error e -> failwith (Live.Sockets.error_to_string e)
         | Ok fd -> (
-          match read_exact ~deadline fd hello_size with
-          | Error why -> failwith why
+          match Live.Sockets.read_exact ~deadline fd Live.Frame.hello_size with
+          | Error e -> failwith ("handshake: " ^ Live.Sockets.error_to_string e)
           | Ok bytes -> (
-            match hello_of bytes with
+            match Live.Frame.hello_of bytes with
             | Error why -> failwith why
             | Ok 0 ->
               Unix.set_nonblock fd;
@@ -273,14 +239,6 @@ module Make (A : Binding.ALGO) = struct
       done;
       (lfd, 0)
     end
-
-  let halt_forever () =
-    Unix.kill (Unix.getpid ()) Sys.sigstop;
-    let rec forever () =
-      ignore (Unix.sleep 3600);
-      forever ()
-    in
-    forever ()
 
   let stats_json mux =
     let s = M.stats mux in
@@ -564,7 +522,7 @@ module Make (A : Binding.ALGO) = struct
           let p =
             {
               pfd = fd;
-              pbuf = Bytes.create hello_size;
+              pbuf = Bytes.create Live.Frame.hello_size;
               got = 0;
               pdeadline = Live.Sockets.now () +. hello_deadline;
             }
@@ -579,13 +537,13 @@ module Make (A : Binding.ALGO) = struct
       done
     in
     let pending_read p =
-      match Unix.read p.pfd p.pbuf p.got (hello_size - p.got) with
+      match Unix.read p.pfd p.pbuf p.got (Live.Frame.hello_size - p.got) with
       | 0 -> drop_pending lp p "closed before hello"
       | k ->
         p.got <- p.got + k;
-        if p.got >= hello_size then begin
+        if p.got >= Live.Frame.hello_size then begin
           lp.pendings <- List.filter (fun q -> q != p) lp.pendings;
-          match hello_of (Bytes.to_string p.pbuf) with
+          match Live.Frame.hello_of (Bytes.to_string p.pbuf) with
           | Ok 0 ->
             Hashtbl.remove lp.registry p.pfd;
             Evloop.deregister lp.ev p.pfd;
@@ -744,7 +702,7 @@ module Make (A : Binding.ALGO) = struct
               Obs.Json.List (List.map Mux.realized_to_json (M.realized mux)) );
             ("stats", stats_json mux);
           ];
-        halt_forever ()
+        Live.Proc.halt ()
       end
       else if
         (not cfg.linger) && lp.had_client && lp.clients = [] && M.active mux = 0

@@ -4,17 +4,20 @@
     degradation over time (queue growth, allocator drift, fd leaks)
     which a fixed-instance storm's single aggregate hides.
 
-    Instances are submitted with the same windowed pipelining as
-    {!Client}; each settled instance files its submit-to-settle latency
-    into the bucket its settle time falls in.  Agreement is checked on
-    the fly: any instance where two nodes report different values counts
-    as a disagreement (and fails {!ok}).
+    The load is {!Client.stream}: the one client loop, with its window,
+    settle rule and re-dial policy.  The soak adds only what it reports:
+    each settled instance files its submit-to-settle latency into the
+    bucket its settle time falls in, and agreement is checked on the fly
+    — any instance where two nodes report different values counts as a
+    disagreement (and fails {!ok}).
 
     With [kill_every] (requires the fleet's respawn policy), a periodic
-    round-robin SIGKILL storms the mesh: the fleet respawns each victim
-    through the WAL-replay / catch-up path while the soak's own client
-    re-dials it — the bucketed percentiles then show the recovery dips,
-    and {!ok} still demands zero disagreements across every kill. *)
+    round-robin SIGKILL storms the mesh during the soak window: the fleet
+    respawns each victim through the WAL-replay / catch-up path while the
+    client re-dials it and re-submits what it had not answered, so the
+    agreement check covers the revived node too.  The bucketed
+    percentiles show the recovery dips, and {!ok} still demands zero
+    disagreements across every kill. *)
 
 type bucket = {
   since : float;  (** bucket start, seconds from soak start *)
@@ -46,7 +49,7 @@ val run :
   (t, string) result
 (** Drives [cfg.window]-wide load over the fleet for [duration] seconds
     (ignoring [cfg.instances] — the stream is unbounded), then allows a
-    short drain grace for in-flight instances.  [bucket] is the
+    3 s drain grace for in-flight instances.  [bucket] is the
     histogram bucket width in seconds.  [kill_every] schedules a
     round-robin engine SIGKILL every that many seconds; it requires
     [cfg.respawn]. *)

@@ -992,19 +992,9 @@ let send fd s =
   | Error e -> Alcotest.fail (Live.Sockets.error_to_string e)
 
 let read_exact ~deadline fd n =
-  let buf = Bytes.create n in
-  let off = ref 0 in
-  while !off < n && Live.Sockets.now () < deadline do
-    match Unix.select [ fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.read fd buf !off (n - !off) with
-      | 0 -> Alcotest.fail "peer closed mid-read"
-      | k -> off := !off + k
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EINTR), _, _) -> ())
-  done;
-  if !off < n then Alcotest.fail "timed out waiting for relayed bytes";
-  Bytes.to_string buf
+  match Live.Sockets.read_exact ~deadline fd n with
+  | Ok s -> s
+  | Error e -> Alcotest.fail (Live.Sockets.error_to_string e)
 
 let wait_closed ~deadline fd =
   let buf = Bytes.create 1 in
@@ -1202,6 +1192,45 @@ let test_fleet_chaos_safe_cut () =
     Alcotest.(check int) "completed" 60 r.Serve.Report.completed;
     Alcotest.(check int) "undecided" 0 r.Serve.Report.undecided
 
+let test_soak_kill_storm_full_duration () =
+  (* A kill storm must not end the soak early: every revived engine has
+     to count as live again once it is re-dialed.
+
+     Agreement is not asserted here.  The revived engines now get their
+     unanswered instances re-submitted, which reaches the known rejoin
+     defect: a rejoined round-1 coordinator can decide its own proposal
+     for an instance its peers settled in round 2 ("fleet
+     respawn-recovers" pins the same defect).  On a loaded machine that
+     shows up in a fair share of runs; [ok] joins the checks once the
+     rejoin is fixed. *)
+  let duration = 4.5 in
+  let cfg = fleet_config ~tag:"soak-storm" ~n:3 ~respawn:true 0 in
+  (* A fresh service: no decision logs left by an earlier process that
+     had the same pid, and so the same workspace. *)
+  List.iter
+    (fun node ->
+      try Sys.remove (Serve.Wal.path ~dir:cfg.Serve.Fleet.workspace ~node)
+      with Sys_error _ -> ())
+    [ 1; 2; 3 ];
+  match Serve.Soak.run ~kill_every:1.0 cfg ~duration ~bucket:0.5 with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+    Alcotest.(check bool)
+      (Printf.sprintf "elapsed %.2fs covers the duration" s.Serve.Soak.elapsed)
+      true
+      (s.Serve.Soak.elapsed >= duration);
+    Alcotest.(check int) "kills" 4 s.Serve.Soak.kills;
+    Alcotest.(check bool)
+      (Printf.sprintf "%d reconnects" s.Serve.Soak.reconnects)
+      true
+      (s.Serve.Soak.reconnects >= 3);
+    let last =
+      List.fold_left (fun _ b -> b.Serve.Soak.since) 0.0 s.Serve.Soak.buckets
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "last bucket at %.1fs" last)
+      true (last >= 4.0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1287,5 +1316,10 @@ let () =
           Alcotest.test_case "respawn-recovers" `Slow
             test_fleet_respawn_recovers;
           Alcotest.test_case "chaos-safe-cut" `Slow test_fleet_chaos_safe_cut;
+        ] );
+      ( "soak",
+        [
+          Alcotest.test_case "kill storm runs its full duration" `Slow
+            test_soak_kill_storm_full_duration;
         ] );
     ]
