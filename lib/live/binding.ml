@@ -4,8 +4,9 @@ module type ALGO = sig
   include Sync_sim.Algorithm_intf.S
 
   val encode_msg : msg -> string
-  val decode_msg : string -> (msg, string) result
+  val decode_msg_view : Frame.view -> (msg, string) result
   val send_plan : n:int -> me:Pid.t -> round:int -> Pid.t list * Pid.t list
+  val round_senders : n:int -> me:Pid.t -> round:int -> Pid.t list
 end
 
 module Rwwc = struct
@@ -19,16 +20,19 @@ module Rwwc = struct
     Bytes.set b 3 (Char.chr (v land 0xff));
     Bytes.to_string b
 
-  let decode_msg s =
-    if String.length s <> 4 then
-      Error (Printf.sprintf "rwwc payload: expected 4 bytes, got %d" (String.length s))
+  let decode_msg_view (v : Frame.view) =
+    if v.Frame.payload_len <> 4 then
+      Error
+        (Printf.sprintf "rwwc payload: expected 4 bytes, got %d"
+           v.Frame.payload_len)
     else
+      let b = v.Frame.payload_buf and p = v.Frame.payload_pos in
       Ok
         (Core.Rwwc.Data
-           ((Char.code s.[0] lsl 24)
-           lor (Char.code s.[1] lsl 16)
-           lor (Char.code s.[2] lsl 8)
-           lor Char.code s.[3]))
+           ((Char.code (Bytes.get b p) lsl 24)
+           lor (Char.code (Bytes.get b (p + 1)) lsl 16)
+           lor (Char.code (Bytes.get b (p + 2)) lsl 8)
+           lor Char.code (Bytes.get b (p + 3))))
 
   (* Figure 1: only the round's coordinator sends — data ascending to
      p_{r+1}..p_n, then commits descending p_n..p_{r+1}. *)
@@ -36,4 +40,10 @@ module Rwwc = struct
     if Pid.to_int me = round then
       (Pid.range ~lo:(round + 1) ~hi:n, Pid.range_desc ~hi:n ~lo:(round + 1))
     else ([], [])
+
+  (* Toward any one destination the coordinator's data message precedes
+     its control message in that write order, so over FIFO links its
+     control message certifies the whole round's traffic. *)
+  let round_senders ~n:_ ~me ~round =
+    if Pid.to_int me = round then [] else [ Pid.of_int round ]
 end

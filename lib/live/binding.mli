@@ -1,6 +1,7 @@
-(** What the live runtime needs to know about an algorithm beyond the
-    abstract {!Sync_sim.Algorithm_intf.S} contract: how its data messages
-    look on a wire, and where its sends of a given round are addressed.
+(** What the runtimes need to know about an algorithm beyond the abstract
+    {!Sync_sim.Algorithm_intf.S} contract: how its data messages look on a
+    wire, where its sends of a given round are addressed, and when a round
+    can complete before its deadline.
 
     [send_plan] exists for the judge, not the node: a scripted kill names a
     write {e prefix}, and translating that prefix into an abstract
@@ -17,14 +18,26 @@ module type ALGO = sig
   val encode_msg : msg -> string
   (** Wire payload of a data message. *)
 
-  val decode_msg : string -> (msg, string) result
-  (** Inverse of [encode_msg]; [Error] on malformed payloads (the frame
-      layer already filtered corruption, so this only rejects
-      wrong-protocol peers). *)
+  val decode_msg_view : Frame.view -> (msg, string) result
+  (** Inverse of [encode_msg], reading straight out of a decoder view's
+      payload window, so no payload is copied to a string.  [Error] on
+      malformed payloads (the frame layer already filtered corruption, so
+      this only rejects wrong-protocol peers). *)
 
   val send_plan : n:int -> me:Pid.t -> round:int -> Pid.t list * Pid.t list
   (** [(data destinations in send order, control destinations in send
       order)] of a live undecided [me] in [round]. *)
+
+  val round_senders : n:int -> me:Pid.t -> round:int -> Pid.t list
+  (** The peers whose round-[round] traffic toward [me] is terminated by
+      their control message under FIFO delivery — once a control message
+      from each listed sender has arrived, every message the round can
+      deliver to [me] has arrived, and a multiplexed instance may advance
+      without waiting out the round deadline.  An empty list means the
+      round completes immediately after [me]'s own sends (e.g. the
+      coordinator's round).  Crashed senders simply never complete the
+      certificate and the instance falls back to the deadline — the
+      paper's timeout-as-failure-detector, kept per instance. *)
 end
 
 module Rwwc : ALGO with type msg = Core.Rwwc.msg and type state = Core.Rwwc.state

@@ -96,27 +96,29 @@ module Make (A : Binding.ALGO) = struct
             for s = 0 to n - 1 do
               let d = links.(s).(i) in
               let rec drain () =
-                match Frame.pop d with
+                match Frame.pop_view d with
                 | `Need_more -> ()
                 | `Corrupt why -> failwith ("Loopback: corrupt stream: " ^ why)
-                | `Frame (Frame.Hello _ | Frame.Submit _ | Frame.Decide _
-                         | Frame.Catchup _) ->
-                  drain ()
-                | `Frame (Frame.Data { round = fr; payload; _ }) ->
-                  if fr <> round then
-                    failwith
-                      (Printf.sprintf "Loopback: round %d frame in round %d" fr
-                         round);
-                  (match A.decode_msg payload with
-                  | Ok msg -> data := (Pid.of_int (s + 1), msg) :: !data
-                  | Error why -> failwith ("Loopback: bad payload: " ^ why));
-                  drain ()
-                | `Frame (Frame.Ctl { round = fr; _ }) ->
-                  if fr <> round then
-                    failwith
-                      (Printf.sprintf "Loopback: round %d ctl in round %d" fr
-                         round);
-                  syncs := Pid.of_int (s + 1) :: !syncs;
+                | `View v ->
+                  let fr = v.Frame.round in
+                  (match v.Frame.kind with
+                  | Frame.K_hello | Frame.K_submit | Frame.K_decide
+                  | Frame.K_catchup ->
+                    ()
+                  | Frame.K_data -> (
+                    if fr <> round then
+                      failwith
+                        (Printf.sprintf "Loopback: round %d frame in round %d"
+                           fr round);
+                    match A.decode_msg_view v with
+                    | Ok msg -> data := (Pid.of_int (s + 1), msg) :: !data
+                    | Error why -> failwith ("Loopback: bad payload: " ^ why))
+                  | Frame.K_ctl ->
+                    if fr <> round then
+                      failwith
+                        (Printf.sprintf "Loopback: round %d ctl in round %d" fr
+                           round);
+                    syncs := Pid.of_int (s + 1) :: !syncs);
                   drain ()
               in
               drain ()

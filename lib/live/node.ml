@@ -18,7 +18,7 @@ type config = {
 let handshake_timeout = 10.0
 
 module Make (A : Binding.ALGO) = struct
-  type item = Data_item of string | Ctl_item
+  type item = Data_item of A.msg | Ctl_item
 
   type peer = {
     pid : int;
@@ -157,29 +157,31 @@ module Make (A : Binding.ALGO) = struct
 
   let collect cfg peers ~round ~close data syncs =
     let consume peer = function
-      | Data_item payload -> (
-        match A.decode_msg payload with
-        | Ok m -> data := (Pid.of_int peer.pid, m) :: !data
-        | Error why -> mark_dead cfg peer ("bad payload: " ^ why))
+      | Data_item m -> data := (Pid.of_int peer.pid, m) :: !data
       | Ctl_item -> syncs := Pid.of_int peer.pid :: !syncs
     in
+    let file peer fr item =
+      if fr = round then consume peer item
+      else peer.pending <- (fr, item) :: peer.pending
+    in
     let rec drain peer =
-      match Frame.pop peer.decoder with
+      match Frame.pop_view peer.decoder with
       | `Need_more -> ()
       | `Corrupt why -> mark_dead cfg peer ("corrupt stream: " ^ why)
-      | `Frame f ->
-        (match f with
-        | Frame.Hello _ | Frame.Submit _ | Frame.Decide _ | Frame.Catchup _ ->
+      | `View v ->
+        let fr = v.Frame.round in
+        (match v.Frame.kind with
+        | Frame.K_hello | Frame.K_submit | Frame.K_decide | Frame.K_catchup ->
           ()
-        | Frame.Data { round = fr; payload; _ } ->
-          if fr = round then consume peer (Data_item payload)
-          else if fr > round then
-            peer.pending <- (fr, Data_item payload) :: peer.pending
-          else logf cfg "late data frame (r%d) from p%d" fr peer.pid
-        | Frame.Ctl { round = fr; _ } ->
-          if fr = round then consume peer Ctl_item
-          else if fr > round then peer.pending <- (fr, Ctl_item) :: peer.pending
-          else logf cfg "late ctl frame (r%d) from p%d" fr peer.pid);
+        | Frame.K_data when fr < round ->
+          logf cfg "late data frame (r%d) from p%d" fr peer.pid
+        | Frame.K_data -> (
+          match A.decode_msg_view v with
+          | Ok m -> file peer fr (Data_item m)
+          | Error why -> mark_dead cfg peer ("bad payload: " ^ why))
+        | Frame.K_ctl when fr < round ->
+          logf cfg "late ctl frame (r%d) from p%d" fr peer.pid
+        | Frame.K_ctl -> file peer fr Ctl_item);
         drain peer
     in
     (* First serve anything a fast peer delivered while we were still in an

@@ -1,27 +1,6 @@
-(** What the serve layer needs from an algorithm, beyond the live wire
-    binding: when a multiplexed round can complete {e early}, and a
-    zero-copy payload decoder for the hot receive path. *)
+(** The algorithm binding the serve layer runs: the live runtime's
+    {!Live.Binding}, under the names the serve modules use. *)
 
-open Model
+module type ALGO = Live.Binding.ALGO
 
-module type ALGO = sig
-  include Live.Binding.ALGO
-
-  val round_senders : n:int -> me:Pid.t -> round:int -> Pid.t list
-  (** The peers whose round-[round] traffic toward [me] is terminated by
-      their control message under FIFO delivery — once a control message
-      from each listed sender has arrived, every message the round can
-      deliver to [me] has arrived, and the instance may advance without
-      waiting out the round deadline.  An empty list means the round
-      completes immediately after [me]'s own sends (e.g. the coordinator's
-      round).  Crashed senders simply never complete the certificate and
-      the instance falls back to the deadline — the paper's
-      timeout-as-failure-detector, kept per instance. *)
-
-  val decode_msg_view : Live.Frame.view -> (msg, string) result
-  (** [decode_msg] reading straight out of a decoder view's payload
-      window, so the event loop never copies a payload to a string. *)
-end
-
-module Rwwc :
-  ALGO with type state = Core.Rwwc.state and type msg = Core.Rwwc.msg
+module Rwwc = Live.Binding.Rwwc

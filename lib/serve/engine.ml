@@ -240,12 +240,6 @@ module Make (A : Binding.ALGO) = struct
       (lfd, 0)
     end
 
-  let stats_json mux =
-    let s = M.stats mux in
-    s.Stats.slab_capacity <- M.slab_capacity mux;
-    s.Stats.slab_reused <- M.slab_reused mux;
-    Stats.to_json s
-
   let main cfg =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     (* Recover the durable decision log before touching the network: a
@@ -700,7 +694,7 @@ module Make (A : Binding.ALGO) = struct
             ("node", Obs.Json.Int cfg.me);
             ( "realized",
               Obs.Json.List (List.map Mux.realized_to_json (M.realized mux)) );
-            ("stats", stats_json mux);
+            ("stats", Stats.to_json (M.stats mux));
           ];
         Live.Proc.halt ()
       end
@@ -712,7 +706,7 @@ module Make (A : Binding.ALGO) = struct
           [
             ("event", Obs.Json.String "stats");
             ("node", Obs.Json.Int cfg.me);
-            ("stats", stats_json mux);
+            ("stats", Stats.to_json (M.stats mux));
           ];
         running := false
       end

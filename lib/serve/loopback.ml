@@ -196,14 +196,7 @@ module Make (A : Binding.ALGO) = struct
       | None -> None
     in
     let stats =
-      Array.to_list
-        (Array.mapi
-           (fun idx m ->
-             let s = M.stats m in
-             s.Stats.slab_capacity <- M.slab_capacity m;
-             s.Stats.slab_reused <- M.slab_reused m;
-             (idx + 1, s))
-           muxes)
+      Array.to_list (Array.mapi (fun idx m -> (idx + 1, M.stats m)) muxes)
     in
     Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions ~victim
       ~send_plan:A.send_plan ~elapsed ~latencies:!latencies ~stats

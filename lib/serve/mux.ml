@@ -42,6 +42,57 @@ let realized_of_json json =
     Ok { instance; round; phase }
   | _ -> Error "realized: not an object"
 
+(* The decision log: one entry per instance id ever served, in pages of
+   [page_size] entries allocated on first touch.  Entry [i] is the pair
+   (round, value) at [2k], [2k + 1] of its page, where round 0 means
+   unknown, [given_up] means released at the horizon undecided, and a
+   round >= 1 means decided in that round.  Growth copies at most the page
+   directory, never the entries: no insert stalls the way rehashing a
+   million-entry table does, and an id near [Live.Frame.max_instance]
+   costs one page plus a directory slot per page below it. *)
+module Log = struct
+  let page_bits = 13
+  let page_size = 1 lsl page_bits
+  let given_up = -1
+
+  type t = { mutable pages : int array array; mutable decided : int }
+
+  let create () = { pages = [||]; decided = 0 }
+
+  let round t i =
+    let p = i lsr page_bits in
+    if i < 0 || p >= Array.length t.pages || Array.length t.pages.(p) = 0 then 0
+    else t.pages.(p).(2 * (i land (page_size - 1)))
+
+  let value t i = t.pages.(i lsr page_bits).((2 * (i land (page_size - 1))) + 1)
+
+  let set t i ~round ~value =
+    if i < 0 then invalid_arg "Mux: negative instance id";
+    let p = i lsr page_bits in
+    let len = Array.length t.pages in
+    if p >= len then begin
+      let dir = Array.make (max (p + 1) (2 * len)) [||] in
+      Array.blit t.pages 0 dir 0 len;
+      t.pages <- dir
+    end;
+    if Array.length t.pages.(p) = 0 then
+      t.pages.(p) <- Array.make (2 * page_size) 0;
+    let page = t.pages.(p) and k = 2 * (i land (page_size - 1)) in
+    if page.(k) < 1 && round >= 1 then t.decided <- t.decided + 1;
+    page.(k) <- round;
+    page.(k + 1) <- value
+
+  let iter_decided t f =
+    Array.iteri
+      (fun p page ->
+        for j = 0 to (Array.length page / 2) - 1 do
+          if page.(2 * j) >= 1 then
+            f ~instance:((p lsl page_bits) + j) ~value:page.((2 * j) + 1)
+              ~round:page.(2 * j)
+        done)
+      t.pages
+end
+
 module Make (A : Binding.ALGO) = struct
   type slot = {
     mutable instance : int;
@@ -61,10 +112,9 @@ module Make (A : Binding.ALGO) = struct
     stats : Stats.t;
     slab : slot Slab.t;
     early : (int, entry list) Hashtbl.t;  (* frames before the submit *)
-    finished : Bitvec.t;  (* decided or horizon-released instances *)
-    decided : (int, int * int) Hashtbl.t;
-        (* instance -> (value, round): the durable decision log — a
-           re-submitted finished instance is answered from here *)
+    log : Log.t;
+        (* every finished instance: a re-submitted decided one is answered
+           from here, and frames for any finished one are dropped *)
     persist : (instance:int -> value:int -> round:int -> unit) option;
         (* WAL append: runs before the Decide frame is emitted, so a
            decision a client can observe is already durable *)
@@ -85,8 +135,7 @@ module Make (A : Binding.ALGO) = struct
       stats = Stats.create ();
       slab = Slab.create ~initial:256 ();
       early = Hashtbl.create 64;
-      finished = Bitvec.create ();
-      decided = Hashtbl.create 256;
+      log = Log.create ();
       persist;
       emit;
       mirror = [];
@@ -96,7 +145,11 @@ module Make (A : Binding.ALGO) = struct
       gave_up = 0;
     }
 
-  let stats t = t.stats
+  let stats t =
+    t.stats.Stats.slab_capacity <- Slab.capacity t.slab;
+    t.stats.Stats.slab_reused <- Slab.reused t.slab;
+    t.stats
+
   let active t = Slab.active t.slab
   let halted t = t.halted
   let realized t = t.realized
@@ -105,20 +158,30 @@ module Make (A : Binding.ALGO) = struct
   let slab_capacity t = Slab.capacity t.slab
   let slab_reused t = Slab.reused t.slab
   let set_mirror t peers = t.mirror <- peers
-  let decided_count t = Hashtbl.length t.decided
+  let decided_count t = t.log.Log.decided
+  let iter_decided t f = Log.iter_decided t.log f
+  let finished t instance = Log.round t.log instance <> 0
+  let decided t instance = Log.round t.log instance >= 1
 
-  let iter_decided t f =
-    Hashtbl.iter (fun instance (value, round) -> f ~instance ~value ~round)
-      t.decided
+  (* A decision new to this node, reached here or adopted from a peer:
+     logged, made durable, then announced — the persist hook runs before
+     the Decide frame is emitted. *)
+  let publish t ~instance ~value ~round =
+    Log.set t.log instance ~round ~value;
+    (match t.persist with
+    | Some persist ->
+      persist ~instance ~value ~round;
+      t.stats.Stats.wal_appends <- t.stats.Stats.wal_appends + 1
+    | None -> ());
+    t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
 
   (* Replay one WAL entry: mark decided without emitting or re-persisting.
      Runs before any socket exists, so there is no one to tell yet —
-     re-submits and rejoined peers are answered from the table later. *)
+     re-submits and rejoined peers are answered from the log later. *)
   let seed_decision t ~instance ~value ~round =
-    if not (Hashtbl.mem t.decided instance) then begin
+    if not (decided t instance) then begin
       t.stats.Stats.wal_replayed <- t.stats.Stats.wal_replayed + 1;
-      Bitvec.set t.finished instance;
-      Hashtbl.replace t.decided instance (value, round)
+      Log.set t.log instance ~round ~value
     end
 
   (* Adopt a decision a peer reached (catch-up batch at rejoin, or a
@@ -128,19 +191,11 @@ module Make (A : Binding.ALGO) = struct
      value.  Also upgrades an instance this node gave up on — the peer's
      decision is the one its clients saw. *)
   let adopt t ~now:_ ~instance ~value ~round =
-    if not (Hashtbl.mem t.decided instance) then begin
+    if not (decided t instance) then begin
       t.stats.Stats.catchup_in <- t.stats.Stats.catchup_in + 1;
-      Bitvec.set t.finished instance;
-      Hashtbl.replace t.decided instance (value, round);
-      (match t.persist with
-      | Some persist ->
-        persist ~instance ~value ~round;
-        t.stats.Stats.wal_appends <- t.stats.Stats.wal_appends + 1
-      | None -> ());
       Hashtbl.remove t.early instance;
-      if Slab.find t.slab ~instance <> None then
-        Slab.release t.slab ~instance;
-      t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
+      Slab.release t.slab ~instance;
+      publish t ~instance ~value ~round
     end
 
   let budget_left t =
@@ -256,15 +311,8 @@ module Make (A : Binding.ALGO) = struct
     match decision with
     | Some value ->
       t.stats.Stats.decides <- t.stats.Stats.decides + 1;
-      Bitvec.set t.finished slot.instance;
-      Hashtbl.replace t.decided slot.instance (value, round);
       let instance = slot.instance in
-      (match t.persist with
-      | Some persist ->
-        persist ~instance ~value ~round;
-        t.stats.Stats.wal_appends <- t.stats.Stats.wal_appends + 1
-      | None -> ());
-      t.emit ~dest:0 (Live.Frame.Decide { instance; value; round });
+      publish t ~instance ~value ~round;
       List.iter
         (fun peer ->
           t.stats.Stats.catchup_out <- t.stats.Stats.catchup_out + 1;
@@ -276,7 +324,7 @@ module Make (A : Binding.ALGO) = struct
         (* Past the horizon nothing can decide (more deaths than [t]);
            release the slot and let the client time the instance out. *)
         t.gave_up <- t.gave_up + 1;
-        Bitvec.set t.finished slot.instance;
+        Log.set t.log slot.instance ~round:Log.given_up ~value:0;
         Slab.release t.slab ~instance:slot.instance
       end
       else begin
@@ -302,14 +350,19 @@ module Make (A : Binding.ALGO) = struct
 
   let submit t ~now ~instance ~proposal =
     if t.halted then ()
-    else if Bitvec.mem t.finished instance then (
+    else if finished t instance then begin
       (* Decided long ago (or given up): serve the logged decision instead
          of re-running the instance — a late or reconnecting client gets
          the same answer the first one did. *)
-      match Hashtbl.find_opt t.decided instance with
-      | Some (value, round) ->
-        t.emit ~dest:0 (Live.Frame.Decide { instance; value; round })
-      | None -> ())
+      if decided t instance then
+        t.emit ~dest:0
+          (Live.Frame.Decide
+             {
+               instance;
+               value = Log.value t.log instance;
+               round = Log.round t.log instance;
+             })
+    end
     else if Slab.find t.slab ~instance = None then begin
       t.stats.Stats.submits <- t.stats.Stats.submits + 1;
       let me = Pid.of_int t.cfg.me in
@@ -372,7 +425,7 @@ module Make (A : Binding.ALGO) = struct
       | Live.Frame.K_data | Live.Frame.K_ctl -> (
         let instance = v.Live.Frame.instance in
         let round = v.Live.Frame.round in
-        if Bitvec.mem t.finished instance then
+        if finished t instance then
           t.stats.Stats.dropped_frames <- t.stats.Stats.dropped_frames + 1
         else
           match Slab.find t.slab ~instance with

@@ -14,6 +14,13 @@
     coordinator costs one [big_d] for that instance only; every other
     instance keeps deciding at message speed).
 
+    Finished instances live in one decision log keyed by instance id, in
+    fixed-size pages allocated on first touch: a re-submit of a decided
+    instance is answered with its logged Decide, frames for any finished
+    instance are dropped, and an instance given up at the horizon stays
+    silent until a peer's Catchup upgrades it to decided.  No insert copies
+    more than one page or the page directory.
+
     A [kill_after] budget counts {e mesh} frame writes (Data/Ctl to peers —
     client-bound Decide frames don't burn it).  When the budget runs out
     the mux halts mid-send, recording for every live instance the exact
@@ -65,14 +72,17 @@ module Make (A : Binding.ALGO) : sig
   val seed_decision : t -> instance:int -> value:int -> round:int -> unit
   (** Recovery: mark an instance decided (WAL replay) without emitting or
       re-persisting.  Re-submits are then answered from the decision log
-      instead of re-running the instance. *)
+      instead of re-running the instance.  Counts in [wal_replayed] only
+      if the instance was not already decided. *)
 
   val iter_decided :
     t -> (instance:int -> value:int -> round:int -> unit) -> unit
-  (** Every decision in the log, in no particular order — the engine
-      replays these as Catchup frames to a peer that rejoins the mesh. *)
+  (** Every decision in the log, once each, by ascending instance id — the
+      engine replays these as Catchup frames to a peer that rejoins the
+      mesh.  Given-up instances are not decisions and are skipped. *)
 
   val decided_count : t -> int
+  (** The number of decisions {!iter_decided} yields. *)
 
   val set_mirror : t -> int list -> unit
   (** Peers that recently rejoined: every {e new} decision is also sent to
@@ -88,6 +98,9 @@ module Make (A : Binding.ALGO) : sig
   (** After a budget halt: per-instance crash points, sorted by instance. *)
 
   val stats : t -> Stats.t
+  (** The live counters, with [slab_capacity] and [slab_reused] brought up
+      to date. *)
+
   val gave_up : t -> int
   val mesh_writes : t -> int
   val slab_capacity : t -> int

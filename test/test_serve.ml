@@ -53,20 +53,6 @@ let test_slab_iter_order () =
   (* slot (allocation) order, not id order *)
   Alcotest.(check (list int)) "iter order" [ 30; 20 ] (List.rev !seen)
 
-(* --- Bitvec ----------------------------------------------------------------- *)
-
-let test_bitvec () =
-  let bv = Serve.Bitvec.create () in
-  Alcotest.(check bool) "empty" false (Serve.Bitvec.mem bv 0);
-  Serve.Bitvec.set bv 0;
-  Serve.Bitvec.set bv 7;
-  Serve.Bitvec.set bv 100_000;
-  Alcotest.(check bool) "0" true (Serve.Bitvec.mem bv 0);
-  Alcotest.(check bool) "7" true (Serve.Bitvec.mem bv 7);
-  Alcotest.(check bool) "8" false (Serve.Bitvec.mem bv 8);
-  Alcotest.(check bool) "100000" true (Serve.Bitvec.mem bv 100_000);
-  Alcotest.(check bool) "99999" false (Serve.Bitvec.mem bv 99_999)
-
 (* --- Mux: frames arriving before the submit --------------------------------- *)
 
 module M = Serve.Mux.Make (Serve.Binding.Rwwc)
@@ -154,6 +140,111 @@ let test_mux_resubmit_served_from_log () =
   Alcotest.(check int) "still no live slot" 0 (M.active mux);
   Alcotest.(check int) "decided exactly once" 1
     (M.stats mux).Serve.Stats.decides
+
+(* --- Mux: the decision log ---------------------------------------------------- *)
+
+let mux_at ~me emitted =
+  M.create
+    { Serve.Mux.me; n = 3; t = 1; big_d = 1.0; max_rounds = 2; kill_after = None }
+    ~emit:(fun ~dest f -> emitted := (dest, f) :: !emitted)
+    ()
+
+let test_mux_decision_log () =
+  let emitted = ref [] in
+  (* p3 coordinates neither round 1 nor round 2, so an instance nobody
+     else runs expires twice and is given up. *)
+  let mux = mux_at ~me:3 emitted in
+  M.seed_decision mux ~instance:4 ~value:40 ~round:2;
+  M.seed_decision mux ~instance:9000 ~value:90 ~round:1;
+  M.seed_decision mux ~instance:4 ~value:41 ~round:1;
+  Alcotest.(check int) "only new entries replayed" 2
+    (M.stats mux).Serve.Stats.wal_replayed;
+  M.submit mux ~now:0.0 ~instance:4 ~proposal:7;
+  (match !emitted with
+  | [ (0, Live.Frame.Decide { instance = 4; value = 40; round = 2 }) ] -> ()
+  | _ -> Alcotest.fail "a seeded instance answers a re-submit from the log");
+  emitted := [];
+  M.submit mux ~now:0.0 ~instance:5 ~proposal:7;
+  M.expire mux ~now:1.0;
+  M.expire mux ~now:2.0;
+  Alcotest.(check int) "given up" 1 (M.gave_up mux);
+  M.submit mux ~now:3.0 ~instance:5 ~proposal:7;
+  Alcotest.(check int) "a given-up instance answers nothing" 0
+    (List.length !emitted);
+  M.on_view mux ~now:3.0 ~from:1
+    (view_of_frame (Live.Frame.Ctl { instance = 5; round = 1 }));
+  Alcotest.(check int) "its frames are dropped" 1
+    (M.stats mux).Serve.Stats.dropped_frames;
+  M.on_view mux ~now:3.0 ~from:2
+    (view_of_frame (Live.Frame.Catchup { instance = 5; value = 52; round = 2 }));
+  M.submit mux ~now:4.0 ~instance:5 ~proposal:7;
+  (match !emitted with
+  | [
+   (0, Live.Frame.Decide { instance = 5; value = 52; round = 2 });
+   (0, Live.Frame.Decide { instance = 5; value = 52; round = 2 });
+  ] ->
+    ()
+  | _ -> Alcotest.fail "a Catchup upgrades a given-up instance to decided");
+  let seen = ref [] in
+  M.iter_decided mux (fun ~instance ~value ~round ->
+      seen := (instance, value, round) :: !seen);
+  Alcotest.(check (list (triple int int int)))
+    "each decided instance once"
+    [ (4, 40, 2); (5, 52, 2); (9000, 90, 1) ]
+    (List.sort compare !seen);
+  Alcotest.(check int) "decided_count matches" 3 (M.decided_count mux)
+
+let mib = 1024.0 *. 1024.0
+
+(* Bytes allocated straight into the major heap — where every block too
+   large for the minor heap goes — since [counters] read [(_, p0, m0)].
+   [Gc.allocated_bytes] is no use here: its minor-word count jumps by up
+   to a minor heap when a collection falls inside the interval. *)
+let major_direct_since (_, p0, m0) =
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. m0 -. (p1 -. p0)) *. float_of_int (Sys.word_size / 8)
+
+let test_mux_far_instance_alloc () =
+  (* p1 coordinates round 1 and decides its own proposal at once, so one
+     Submit of the largest id the wire carries enters the decision log.
+     Its cost must not scale with the id. *)
+  let emitted = ref [] in
+  let mux = mux_at ~me:1 emitted in
+  let before = Gc.counters () in
+  M.submit mux ~now:0.0 ~instance:Live.Frame.max_instance ~proposal:11;
+  let grown = major_direct_since before in
+  Alcotest.(check int) "decided" 1 (M.decided_count mux);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.1f MiB < 4 MiB" (grown /. mib))
+    true (grown < 4.0 *. mib)
+
+let test_mux_seed_alloc () =
+  (* Every insert up to 2^20 decisions stays small: nothing rehashes or
+     copies the whole log.  The worst time is printed, not asserted, so a
+     loaded machine cannot fail the test. *)
+  let mux = mux_at ~me:2 (ref []) in
+  let last = 1 lsl 20 in
+  let worst_bytes = ref 0.0 and worst_s = ref 0.0 and worst_at = ref 0 in
+  for i = 0 to last do
+    let before = Gc.counters () in
+    let t0 = Unix.gettimeofday () in
+    M.seed_decision mux ~instance:i ~value:i ~round:1;
+    let dt = Unix.gettimeofday () -. t0 in
+    let db = major_direct_since before in
+    if db > !worst_bytes then worst_bytes := db;
+    if dt > !worst_s then begin
+      worst_s := dt;
+      worst_at := i
+    end
+  done;
+  Printf.printf "worst seed_decision: %.1f ms (at %d), %.0f KiB\n"
+    (!worst_s *. 1000.0) !worst_at (!worst_bytes /. 1024.0);
+  Alcotest.(check int) "all logged" (last + 1) (M.decided_count mux);
+  Alcotest.(check bool)
+    (Printf.sprintf "worst insert allocated %.2f MiB <= 1 MiB"
+       (!worst_bytes /. mib))
+    true
+    (!worst_bytes <= mib)
 
 (* --- Loopback storms --------------------------------------------------------- *)
 
@@ -1240,13 +1331,16 @@ let () =
           Alcotest.test_case "reuse-bounded" `Quick test_slab_reuse_bounded;
           Alcotest.test_case "iter-order" `Quick test_slab_iter_order;
         ] );
-      ("bitvec", [ Alcotest.test_case "grow-set-mem" `Quick test_bitvec ]);
       ( "mux",
         [
           Alcotest.test_case "early-frames" `Quick test_mux_early_frames;
           Alcotest.test_case "deadline-fallback" `Quick test_mux_deadline_fallback;
           Alcotest.test_case "resubmit-served-from-log" `Quick
             test_mux_resubmit_served_from_log;
+          Alcotest.test_case "decision-log" `Quick test_mux_decision_log;
+          Alcotest.test_case "far-instance-allocation" `Quick
+            test_mux_far_instance_alloc;
+          Alcotest.test_case "seed-2^20-allocation" `Quick test_mux_seed_alloc;
         ] );
       ( "loopback",
         [
