@@ -302,13 +302,14 @@ let oracle_schedule = silent ~n:4 ~f:1
 let bench_oracle () =
   assert (Minimize.Oracle.agrees ~n:4 ~t:2 oracle_schedule)
 
-(* The live wire protocol without the sockets: a full n=5 f=2 loopback
-   round trip — encode, CRC, incremental decode for every frame — is the
-   per-run overhead the live runtime adds over the abstract engine. *)
+(* The live wire protocol without the sockets: a full n=5 f=2 scripted run
+   through the loopback mesh — mux setup, encode, CRC, incremental decode
+   for every frame — is the per-run overhead the live runtime adds over
+   the abstract engine. *)
 let live_script = Live.Script.default ~n:5 ~f:2
 
 let bench_live_loopback () =
-  ignore (Live.Loopback.Rwwc.run ~n:5 ~t:2 ~script:live_script ())
+  ignore (Serve.Loopback.Rwwc.script ~n:5 ~t:2 ~script:live_script ())
 
 let bench_heap () =
   let h = Timed_sim.Heap.create () in
@@ -613,9 +614,10 @@ let run_benchmarks ~only () =
   print_string (Diag.Table.render table);
   rows
 
-(* BENCH_RESULTS.json: the machine-readable perf trajectory.  One document
-   per bench run, one entry per registered kernel, so successive PRs can be
-   diffed without scraping the rendered table. *)
+(* BENCH_RESULTS.json: the machine-readable perf trajectory.  One entry
+   per registered kernel, so successive PRs can be diffed without scraping
+   the rendered table; a [--kernel] run replaces the rows it measured and
+   keeps the rest. *)
 let json_doc rows =
   let opt_float = function Some v -> Obs.Json.Float v | None -> Obs.Json.Null in
   Obs.Json.Obj
@@ -635,6 +637,46 @@ let json_doc rows =
              rows) );
     ]
 
+(* The rows a document already holds, by kernel name.  A missing file holds
+   none; an unreadable one is an error, so a refresh never silently drops
+   the committed trajectory. *)
+let previous_rows file =
+  if not (Sys.file_exists file) then Ok []
+  else
+    let num = function
+      | Some (Obs.Json.Float v) -> Some v
+      | Some (Obs.Json.Int i) -> Some (float_of_int i)
+      | _ -> None
+    in
+    match
+      Obs.Json.of_string (In_channel.with_open_bin file In_channel.input_all)
+    with
+    | Error why -> Error why
+    | Ok doc -> (
+      match Obs.Json.member "results" doc with
+      | Some (Obs.Json.List rows) ->
+        Ok
+          (List.filter_map
+             (fun row ->
+               match Obs.Json.member "name" row with
+               | Some (Obs.Json.String name) ->
+                 Some
+                   ( name,
+                     num (Obs.Json.member "ns_per_run" row),
+                     num (Obs.Json.member "r_squared" row) )
+               | _ -> None)
+             rows)
+      | _ -> Error "no results list")
+
+(* One row per registered kernel, in registration order: the one measured
+   now, else the one [previous] holds. *)
+let merge_rows ~previous measured =
+  List.filter_map
+    (fun (name, _) ->
+      let find rows = List.find_opt (fun (n, _, _) -> n = name) rows in
+      match find measured with Some _ as row -> row | None -> find previous)
+    kernels
+
 let () =
   let json_file = ref None in
   let only = ref None in
@@ -644,7 +686,8 @@ let () =
     [
       ( "--json",
         Arg.String (fun f -> json_file := Some f),
-        "FILE  also write the micro-benchmark estimates as JSON to FILE" );
+        "FILE  also write the micro-benchmark estimates as JSON to FILE \
+         (keeping its rows for kernels this run does not measure)" );
       ( "--kernel",
         Arg.String (fun k -> only := Some k),
         "NAME  measure only the named kernel (NAME ending in / : its group)" );
@@ -680,6 +723,16 @@ let () =
       kernels;
     exit 0
   end;
+  let previous =
+    match !json_file with
+    | None -> []
+    | Some file -> (
+      match previous_rows file with
+      | Ok rows -> rows
+      | Error why ->
+        Printf.eprintf "%s: not a bench document (%s)\n" file why;
+        exit 2)
+  in
   print_endline "=== Micro-benchmarks ===\n";
   let rows = run_benchmarks ~only:!only () in
   match !json_file with
@@ -693,7 +746,8 @@ let () =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (Obs.Json.to_string (json_doc rows));
+        output_string oc
+          (Obs.Json.to_string (json_doc (merge_rows ~previous rows)));
         output_char oc '\n');
     Sys.rename tmp file;
     Printf.printf "wrote %s\n" file

@@ -1304,7 +1304,7 @@ let live_cmd =
           (Live.Script.to_string script);
         match transport with
         | `Loopback ->
-          let tr = Live.Loopback.Rwwc.run ?max_rounds ~n ~t ~script () in
+          let tr = Serve.Loopback.Rwwc.script ?max_rounds ~n ~t ~script () in
           let schedule =
             Live.Script.to_schedule ~send_plan:(Live.Binding.Rwwc.send_plan ~n)
               script

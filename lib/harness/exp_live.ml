@@ -1,11 +1,12 @@
 (** EXP-LIVE — the live runtime's crash semantics, checked deterministically.
 
     Runs the Figure 1 algorithm through the live wire protocol on the
-    in-memory loopback transport — the exact encoder/decoder/kill path of
-    the socket runtime, minus the clocks and processes — and shows that
-    killing a sender after [k] sequential writes realizes precisely the
-    extended model's crash semantics: an order-prefix of the data
-    destinations, or all data plus a prefix of the control sequence.
+    in-memory loopback ({!Serve.Loopback}'s [script]: one instance over a
+    mesh of {!Serve.Mux}es, the socket runtime's codec and write order,
+    minus the clocks and processes) and shows that killing a sender after
+    [k] sequential writes realizes precisely the extended model's crash
+    semantics: an order-prefix of the data destinations, or all data plus
+    a prefix of the control sequence.
 
     Every row is judged twice: the transcript must satisfy uniform
     consensus within [f + 1] deadline-synchronized rounds (the EXP-CHAOS
@@ -29,7 +30,7 @@ let summarize tr =
 (* One judged loopback run: deterministic, property-clean, and in agreement
    with the abstract engine — anything else fails the experiment. *)
 let judged ~n ~t script =
-  let run () = Live.Loopback.Rwwc.run ~n ~t ~script () in
+  let run () = Serve.Loopback.Rwwc.script ~n ~t ~script () in
   let tr = run () in
   if not (Live.Transcript.equal_observable tr (run ())) then
     failwith

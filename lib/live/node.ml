@@ -249,11 +249,9 @@ module Make (A : Binding.ALGO) = struct
       let open_t = t0 +. (float_of_int (round - 1) *. (cfg.big_d +. cfg.delta)) in
       let close_t = open_t +. cfg.big_d in
       Sockets.sleep_until open_t;
-      let open_skew = Sockets.now () -. open_t in
       send_round cfg peers ~round !state;
       let data = ref [] and syncs = ref [] in
       collect cfg peers ~round ~close:close_t data syncs;
-      let close_skew = Sockets.now () -. close_t in
       let data = List.sort (fun (a, _) (b, _) -> Pid.compare a b) !data in
       let syncs = List.sort Pid.compare !syncs in
       let st, decision = A.compute !state ~round ~data ~syncs in
@@ -263,10 +261,6 @@ module Make (A : Binding.ALGO) = struct
           ("event", Obs.Json.String "round");
           ("node", Obs.Json.Int cfg.me);
           ("round", Obs.Json.Int round);
-          ("open_skew", Obs.Json.Float open_skew);
-          ("close_skew", Obs.Json.Float close_skew);
-          ("data_recv", Obs.Json.Int (List.length data));
-          ("ctl_recv", Obs.Json.Int (List.length syncs));
         ];
       (match decision with
       | Some value ->

@@ -60,7 +60,7 @@ let vlog cfg fmt = Proc.vlog cfg.verbose "live" fmt
 
 (* What the supervisor learns about one node from its status pipe. *)
 type node = {
-  mutable rounds : Transcript.round_obs list;  (* newest first *)
+  mutable last_round : int;  (* the latest round the node computed *)
   mutable decided : (int * int) option;  (* value, round *)
   mutable undecided_evt : bool;
   mutable final : Transcript.status option;
@@ -74,27 +74,10 @@ let handle_event (c : node Proc.child) line =
     let int k =
       match Obs.Json.member k j with Some (Obs.Json.Int i) -> Some i | _ -> None
     in
-    let flt k =
-      match Obs.Json.member k j with
-      | Some (Obs.Json.Float f) -> f
-      | Some (Obs.Json.Int i) -> float_of_int i
-      | _ -> 0.0
-    in
     match Obs.Json.member "event" j with
     | Some (Obs.Json.String "ready") -> Proc.mark_ready c
     | Some (Obs.Json.String "round") -> (
-      match (int "round", int "data_recv", int "ctl_recv") with
-      | Some round, Some data_recv, Some ctl_recv ->
-        s.rounds <-
-          {
-            Transcript.round;
-            open_skew = flt "open_skew";
-            close_skew = flt "close_skew";
-            data_recv;
-            ctl_recv;
-          }
-          :: s.rounds
-      | _ -> ())
+      match int "round" with Some r -> s.last_round <- r | None -> ())
     | Some (Obs.Json.String "decide") -> (
       match (int "value", int "round") with
       | Some v, Some r -> s.decided <- Some (v, r)
@@ -102,24 +85,21 @@ let handle_event (c : node Proc.child) line =
     | Some (Obs.Json.String "undecided") -> s.undecided_evt <- true
     | _ -> ())
 
-let last_round s =
-  match s.rounds with [] -> 0 | r :: _ -> r.Transcript.round
-
 let finalize cfg (c : node Proc.child) obs =
   let s = c.state in
   match obs with
   | Proc.Stop_killed -> (
     match Script.find cfg.script (Pid.of_int c.node) with
     | Some k -> Transcript.Killed { at_round = k.Script.round; scripted = true }
-    | None -> Transcript.Killed { at_round = last_round s + 1; scripted = false })
+    | None -> Transcript.Killed { at_round = s.last_round + 1; scripted = false })
   | Proc.Exited 0 -> (
     match s.decided with
     | Some (value, at_round) -> Transcript.Decided { value; at_round }
     | None ->
       if s.undecided_evt then Transcript.Undecided
-      else Transcript.Killed { at_round = last_round s + 1; scripted = false })
+      else Transcript.Killed { at_round = s.last_round + 1; scripted = false })
   | Proc.Exited _ | Proc.Signaled _ ->
-    Transcript.Killed { at_round = last_round s + 1; scripted = false }
+    Transcript.Killed { at_round = s.last_round + 1; scripted = false }
 
 let run cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -154,7 +134,12 @@ let run cfg =
           let log = Filename.concat dir (Printf.sprintf "node-%d.log" i) in
           let c =
             Proc.spawn ~log ~node:i
-              { rounds = []; decided = None; undecided_evt = false; final = None }
+              {
+                last_round = 0;
+                decided = None;
+                undecided_evt = false;
+                final = None;
+              }
               (fun ends ->
                 Node.Rwwc.main
                   {
@@ -265,11 +250,6 @@ let run cfg =
                 Option.value c.state.final ~default:Transcript.Undecided)
               children
           in
-          let rounds =
-            Array.map
-              (fun (c : node Proc.child) -> List.rev c.state.rounds)
-              children
-          in
           let max_round =
             Array.fold_left
               (fun acc (c : node Proc.child) ->
@@ -280,10 +260,10 @@ let run cfg =
                     at_round
                   | _ -> 0
                 in
-                max acc (max from_status (last_round c.state)))
+                max acc (max from_status c.state.last_round))
               0 children
           in
-          let tr = { Transcript.n; t; proposals; statuses; rounds; max_round } in
+          let tr = { Transcript.n; t; proposals; statuses; max_round } in
           let schedule =
             Script.to_schedule ~send_plan:(Binding.Rwwc.send_plan ~n) cfg.script
           in

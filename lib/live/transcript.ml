@@ -5,20 +5,11 @@ type status =
   | Killed of { at_round : int; scripted : bool }
   | Undecided
 
-type round_obs = {
-  round : int;
-  open_skew : float;
-  close_skew : float;
-  data_recv : int;
-  ctl_recv : int;
-}
-
 type t = {
   n : int;
   t : int;
   proposals : int array;
   statuses : status array;
-  rounds : round_obs list array;
   max_round : int;
 }
 

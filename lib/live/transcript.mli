@@ -1,6 +1,7 @@
-(** What a live run leaves behind: per-node outcomes and per-round timing,
-    collected by the supervisor over the status pipes (socket mode) or
-    produced directly by the deterministic loopback engine.
+(** What a live run leaves behind: per-node outcomes and the round
+    horizon, collected by the supervisor over the status pipes (socket
+    mode) or produced directly by the deterministic loopback
+    ({!Serve.Loopback}'s [script]).
 
     The transcript is the judge's only input — the same record regardless
     of transport, so the loopback tests and the real-socket smoke assert
@@ -16,29 +17,19 @@ type status =
           death is judged as one more crash) *)
   | Undecided  (** alive at the round horizon without deciding *)
 
-type round_obs = {
-  round : int;
-  open_skew : float;  (** seconds between nominal round start and first write *)
-  close_skew : float;  (** seconds between nominal round close and compute *)
-  data_recv : int;
-  ctl_recv : int;
-}
-
 type t = {
   n : int;
   t : int;
   proposals : int array;
   statuses : status array;  (** index [i] holds process [i+1] *)
-  rounds : round_obs list array;  (** chronological, per process *)
   max_round : int;  (** latest round any process executed *)
 }
 
 val equal_status : status -> status -> bool
 
 val equal_observable : t -> t -> bool
-(** Statuses and round horizon — timing skews excluded (wall-clock noise in
-    socket mode, zero in loopback).  The determinism assertion of the
-    loopback engine. *)
+(** Same run shape, proposals, statuses and round horizon.  The
+    determinism assertion of the loopback engine. *)
 
 val f_actual : t -> int
 (** Processes that died, scripted or not — the paper's [f]. *)

@@ -13,10 +13,12 @@ type t = {
 let initial_cap = 4096
 let max_pooled = 64
 
+(* Buffers start empty and get [initial_cap] bytes on their first frame,
+   so a destination that is never written costs nothing. *)
 let create ~n ~batch ~stats ~send =
   {
     bufs =
-      Array.init (n + 1) (fun _ -> { bytes = Bytes.create initial_cap; len = 0 });
+      Array.init (n + 1) (fun _ -> { bytes = Bytes.empty; len = 0 });
     counts = Array.make (n + 1) 0;
     batch;
     stats;

@@ -13,16 +13,14 @@ module Make (A : Binding.ALGO) = struct
     proposals : int -> int -> int;
   }
 
-  let run cfg =
-    if cfg.n < 2 then invalid_arg "Serve.Loopback: n must be >= 2";
-    if cfg.instances < 0 then invalid_arg "Serve.Loopback: negative instances";
-    let n = cfg.n in
-    let window = max 1 cfg.window in
-    let started = Unix.gettimeofday () in
+  (* The driver both entry points share: one mux per node ([make ~me
+     ~emit] builds node [me]'s), [instances] submitted [window] at a time,
+     delivery to quiescence at each virtual instant, then a jump to the
+     earliest round deadline.  Returns the muxes, every node's (value,
+     round) per instance, and the virtual submit-to-settle latencies. *)
+  let mesh ~n ~batch ~instances ~window ~max_rounds ~proposals make =
+    let window = max 1 window in
     let now = ref 0.0 in
-    let max_rounds =
-      match cfg.max_rounds with Some m -> m | None -> cfg.t + 1
-    in
     (* One incremental decoder per directed link, one Decide-stream decoder
        per node's client channel: the exact socket topology, minus the
        sockets.  A flushed batch buffer is fed to the receiving decoder in
@@ -36,20 +34,12 @@ module Make (A : Binding.ALGO) = struct
     let batches : Batch.t option array = Array.make n None in
     let muxes =
       Array.init n (fun idx ->
-          let me = idx + 1 in
-          let kill_after =
-            match cfg.kill with
-            | Some k when k.Report.node = me -> Some k.Report.after_frames
-            | _ -> None
-          in
           let emit ~dest frame =
             match batches.(idx) with
             | Some b -> Batch.add b ~dest (Live.Frame.encode frame)
             | None -> assert false
           in
-          M.create
-            { Mux.me; n; t = cfg.t; big_d = cfg.big_d; max_rounds; kill_after }
-            ~emit ())
+          make ~me:(idx + 1) ~emit)
     in
     Array.iteri
       (fun idx mux ->
@@ -62,10 +52,10 @@ module Make (A : Binding.ALGO) = struct
           `Done
         in
         batches.(idx) <-
-          Some (Batch.create ~n ~batch:cfg.batch ~stats:(M.stats mux) ~send))
+          Some (Batch.create ~n ~batch ~stats:(M.stats mux) ~send))
       muxes;
-    let decisions = Array.init cfg.instances (fun _ -> Array.make n None) in
-    let submit_t = Array.make (max 1 cfg.instances) 0.0 in
+    let decisions = Array.init instances (fun _ -> Array.make n None) in
+    let submit_t = Array.make (max 1 instances) 0.0 in
     let latencies = ref [] in
     let drain_link s d =
       let dec = decoders.(s).(d) in
@@ -89,7 +79,7 @@ module Make (A : Binding.ALGO) = struct
           (match v.Live.Frame.kind with
           | Live.Frame.K_decide ->
             let i = v.Live.Frame.instance in
-            if i >= 0 && i < cfg.instances && decisions.(i).(idx) = None then
+            if i >= 0 && i < instances && decisions.(i).(idx) = None then
               decisions.(i).(idx) <-
                 Some (v.Live.Frame.value, v.Live.Frame.round)
           | _ -> ());
@@ -131,7 +121,7 @@ module Make (A : Binding.ALGO) = struct
          client pattern; the mux's early-frame parking covers the rest. *)
       for node = n downto 1 do
         M.submit muxes.(node - 1) ~now:!now ~instance:i
-          ~proposal:(cfg.proposals i node)
+          ~proposal:(proposals i node)
       done
     in
     let is_settled i =
@@ -154,14 +144,14 @@ module Make (A : Binding.ALGO) = struct
     in
     let refill () =
       let before = !next_submit in
-      while List.length !inflight < window && !next_submit < cfg.instances do
+      while List.length !inflight < window && !next_submit < instances do
         submit_instance !next_submit;
         incr next_submit
       done;
       !next_submit <> before
     in
     let stuck = ref false in
-    let guard = ref ((cfg.instances * (max_rounds + 2)) + 64) in
+    let guard = ref ((instances * (max_rounds + 2)) + 64) in
     ignore (refill ());
     while !inflight <> [] && (not !stuck) && !guard > 0 do
       decr guard;
@@ -187,6 +177,28 @@ module Make (A : Binding.ALGO) = struct
         end
       end
     done;
+    (muxes, decisions, !latencies)
+
+  let run cfg =
+    if cfg.n < 2 then invalid_arg "Serve.Loopback: n must be >= 2";
+    if cfg.instances < 0 then invalid_arg "Serve.Loopback: negative instances";
+    let n = cfg.n in
+    let started = Unix.gettimeofday () in
+    let max_rounds =
+      match cfg.max_rounds with Some m -> m | None -> cfg.t + 1
+    in
+    let muxes, decisions, latencies =
+      mesh ~n ~batch:cfg.batch ~instances:cfg.instances ~window:cfg.window
+        ~max_rounds ~proposals:cfg.proposals (fun ~me ~emit ->
+          let kill_after =
+            match cfg.kill with
+            | Some k when k.Report.node = me -> Some k.Report.after_frames
+            | _ -> None
+          in
+          M.create
+            { Mux.me; n; t = cfg.t; big_d = cfg.big_d; max_rounds; kill_after }
+            ~emit ())
+    in
     let elapsed = Unix.gettimeofday () -. started in
     let victim =
       match cfg.kill with
@@ -199,8 +211,52 @@ module Make (A : Binding.ALGO) = struct
       Array.to_list (Array.mapi (fun idx m -> (idx + 1, M.stats m)) muxes)
     in
     Report.build ~n ~t:cfg.t ~proposals:cfg.proposals ~decisions ~victim
-      ~send_plan:A.send_plan ~elapsed ~latencies:!latencies ~stats
-      ~kill:cfg.kill
+      ~send_plan:A.send_plan ~elapsed ~latencies ~stats ~kill:cfg.kill
+
+  let script ?proposals ?max_rounds ~n ~t ~script () =
+    let proposals =
+      match proposals with
+      | Some p -> p
+      | None -> Sync_sim.Engine.distinct_proposals n
+    in
+    if Array.length proposals <> n then
+      invalid_arg "Serve.Loopback.script: proposals length <> n";
+    (match Live.Script.validate ~n ~max_kills:t script with
+    | Ok () -> ()
+    | Error why -> invalid_arg ("Serve.Loopback.script: " ^ why));
+    let max_rounds = match max_rounds with Some m -> m | None -> t + 2 in
+    let muxes, decisions, _ =
+      mesh ~n ~batch:false ~instances:1 ~window:1 ~max_rounds
+        ~proposals:(fun _ node -> proposals.(node - 1))
+        (fun ~me ~emit ->
+          M.create
+            { Mux.me; n; t; big_d = 1.0; max_rounds; kill_after = None }
+            ?kill:(Live.Script.find script (Model.Pid.of_int me))
+            ~emit ())
+    in
+    let statuses =
+      Array.mapi
+        (fun idx m ->
+          match (decisions.(0).(idx), M.realized m) with
+          | Some (value, at_round), _ ->
+            Live.Transcript.Decided { value; at_round }
+          | None, (r : Mux.realized) :: _ ->
+            Live.Transcript.Killed { at_round = r.round; scripted = true }
+          | None, [] -> Live.Transcript.Undecided)
+        muxes
+    in
+    (* The last round any node entered: an undecided node ran out the
+       horizon. *)
+    let max_round =
+      Array.fold_left
+        (fun acc -> function
+          | Live.Transcript.Decided { at_round; _ }
+          | Live.Transcript.Killed { at_round; _ } ->
+            max acc at_round
+          | Live.Transcript.Undecided -> max acc max_rounds)
+        0 statuses
+    in
+    { Live.Transcript.n; t; proposals; statuses; max_round }
 end
 
 module Rwwc = Make (Binding.Rwwc)

@@ -11,7 +11,14 @@
 
     Same codec, same mux, same batching counters as the socket engine, so
     loopback results — including the realized per-instance crash points of
-    a [kill] and their {!Live.Judge} verdicts — transfer. *)
+    a [kill] and their {!Live.Judge} verdicts — transfer.
+
+    {!Make.script} runs the live runtime's scripted kills through the same
+    mesh: one instance, each victim's mux stopped at its exact
+    [(round, phase)] ({!Mux.Make.create}'s [kill]).  A communication-closed
+    round protocol behaves the same multiplexed as in lockstep, so the
+    resulting {!Live.Transcript.t} is the deterministic anchor the
+    real-socket runtime is judged against. *)
 
 module Make (A : Binding.ALGO) : sig
   type config = {
@@ -27,6 +34,20 @@ module Make (A : Binding.ALGO) : sig
   }
 
   val run : config -> Report.t
+
+  val script :
+    ?proposals:int array ->
+    ?max_rounds:int ->
+    n:int ->
+    t:int ->
+    script:Live.Script.t ->
+    unit ->
+    Live.Transcript.t
+  (** One deterministic live run.  Defaults: distinct proposals [1..n],
+      [max_rounds = t + 2].  Raises [Invalid_argument] on an invalid script
+      (bad pid, duplicate victim, more than [t] kills) and [Failure] on
+      wire corruption (a codec bug — loopback streams cannot be damaged in
+      flight). *)
 end
 
 module Rwwc : module type of Make (Binding.Rwwc)

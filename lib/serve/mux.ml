@@ -43,13 +43,16 @@ let realized_of_json json =
   | _ -> Error "realized: not an object"
 
 (* The decision log: one entry per instance id ever served, in pages of
-   [page_size] entries allocated on first touch.  Entry [i] is the pair
-   (round, value) at [2k], [2k + 1] of its page, where round 0 means
-   unknown, [given_up] means released at the horizon undecided, and a
-   round >= 1 means decided in that round.  Growth copies at most the page
-   directory, never the entries: no insert stalls the way rehashing a
-   million-entry table does, and an id near [Live.Frame.max_instance]
-   costs one page plus a directory slot per page below it. *)
+   up to [page_size] entries.  A page is allocated on first touch just
+   large enough for the entry and doubles as higher entries of it are
+   touched, so a short-lived mux (one scripted live run) never pays for a
+   whole page.  Entry [i] is the pair (round, value) at [2k], [2k + 1] of
+   its page, where round 0 means unknown, [given_up] means released at the
+   horizon undecided, and a round >= 1 means decided in that round.
+   Growth copies at most one page and the page directory: no insert stalls
+   the way rehashing a million-entry table does, and an id near
+   [Live.Frame.max_instance] costs one page plus a directory slot per page
+   below it. *)
 module Log = struct
   let page_bits = 13
   let page_size = 1 lsl page_bits
@@ -61,8 +64,10 @@ module Log = struct
 
   let round t i =
     let p = i lsr page_bits in
-    if i < 0 || p >= Array.length t.pages || Array.length t.pages.(p) = 0 then 0
-    else t.pages.(p).(2 * (i land (page_size - 1)))
+    if i < 0 || p >= Array.length t.pages then 0
+    else
+      let page = t.pages.(p) and k = 2 * (i land (page_size - 1)) in
+      if k >= Array.length page then 0 else page.(k)
 
   let value t i = t.pages.(i lsr page_bits).((2 * (i land (page_size - 1))) + 1)
 
@@ -75,9 +80,14 @@ module Log = struct
       Array.blit t.pages 0 dir 0 len;
       t.pages <- dir
     end;
-    if Array.length t.pages.(p) = 0 then
-      t.pages.(p) <- Array.make (2 * page_size) 0;
-    let page = t.pages.(p) and k = 2 * (i land (page_size - 1)) in
+    let k = 2 * (i land (page_size - 1)) in
+    let have = Array.length t.pages.(p) in
+    if k >= have then begin
+      let page = Array.make (min (2 * page_size) (max (k + 2) (2 * have))) 0 in
+      Array.blit t.pages.(p) 0 page 0 have;
+      t.pages.(p) <- page
+    end;
+    let page = t.pages.(p) in
     if page.(k) < 1 && round >= 1 then t.decided <- t.decided + 1;
     page.(k) <- round;
     page.(k + 1) <- value
@@ -115,6 +125,9 @@ module Make (A : Binding.ALGO) = struct
     log : Log.t;
         (* every finished instance: a re-submitted decided one is answered
            from here, and frames for any finished one are dropped *)
+    kill : Live.Script.kill option;
+        (* scripted stop: halt at this (round, phase) of the first
+           instance to reach it *)
     persist : (instance:int -> value:int -> round:int -> unit) option;
         (* WAL append: runs before the Decide frame is emitted, so a
            decision a client can observe is already durable *)
@@ -129,9 +142,14 @@ module Make (A : Binding.ALGO) = struct
     mutable gave_up : int;
   }
 
-  let create cfg ?persist ~emit () =
+  let create cfg ?kill ?persist ~emit () =
+    (match kill with
+    | Some k when Pid.to_int k.Live.Script.pid <> cfg.me ->
+      invalid_arg "Mux.create: kill names another node"
+    | Some _ | None -> ());
     {
       cfg;
+      kill;
       stats = Stats.create ();
       slab = Slab.create ~initial:256 ();
       early = Hashtbl.create 64;
@@ -231,51 +249,57 @@ module Make (A : Binding.ALGO) = struct
         !acc
 
   (* The send phase of [slot]'s current round.  Mesh writes burn the kill
-     budget one frame at a time, so a scripted kill lands between two
-     writes of one instance's round — the paper's sequential-write prefix
-     crash, realized mid-storm. *)
+     budget one frame at a time, so a budget kill lands between two writes
+     of one instance's round — the paper's sequential-write prefix crash,
+     realized mid-storm.  A scripted kill caps the round's writes at its
+     phase and halts once the cap is reached, even with nothing left to
+     write: [After_send] stops before the compute, and [Before_send] stops
+     a round that sends nothing. *)
   let send_round t slot =
     let round = slot.round in
     let data = A.data_sends slot.state ~round in
     let syncs = A.sync_sends slot.state ~round in
     let d_count = List.length data in
     let c_count = List.length syncs in
+    let cap =
+      match t.kill with
+      | Some k when k.Live.Script.round = round ->
+        Live.Script.writes_completed k.Live.Script.phase ~data:d_count
+          ~ctl:c_count
+      | Some _ | None -> max_int
+    in
     let written = ref 0 in
-    let ok = ref true in
+    let write ~dest frame =
+      if !written < cap && budget_left t then begin
+        t.mesh_writes <- t.mesh_writes + 1;
+        t.emit ~dest frame;
+        incr written
+      end
+    in
     List.iter
       (fun (dest, msg) ->
-        if !ok then
-          if budget_left t then begin
-            t.mesh_writes <- t.mesh_writes + 1;
-            t.emit ~dest:(Pid.to_int dest)
-              (Live.Frame.Data
-                 { instance = slot.instance; round; payload = A.encode_msg msg });
-            incr written
-          end
-          else ok := false)
+        write ~dest:(Pid.to_int dest)
+          (Live.Frame.Data
+             { instance = slot.instance; round; payload = A.encode_msg msg }))
       data;
     List.iter
       (fun dest ->
-        if !ok then
-          if budget_left t then begin
-            t.mesh_writes <- t.mesh_writes + 1;
-            t.emit ~dest:(Pid.to_int dest)
-              (Live.Frame.Ctl { instance = slot.instance; round });
-            incr written
-          end
-          else ok := false)
+        write ~dest:(Pid.to_int dest)
+          (Live.Frame.Ctl { instance = slot.instance; round }))
       syncs;
-    if !ok then begin
+    let k = !written in
+    if k = d_count + c_count && k < cap then begin
       slot.sent <- true;
       `Sent
     end
     else begin
-      let k = !written in
       let phase =
-        if k = 0 then Live.Script.Before_send
-        else if k < d_count then Live.Script.During_data k
-        else if k < d_count + c_count then Live.Script.During_ctl (k - d_count)
-        else Live.Script.After_send
+        match t.kill with
+        | Some kill when k = cap -> kill.Live.Script.phase
+        | Some _ | None ->
+          if k = 0 then Live.Script.Before_send
+          else if k < d_count then Live.Script.During_data k
+          else Live.Script.During_ctl (k - d_count)
       in
       halt t ~mid:(Some { instance = slot.instance; round; phase });
       `Halted

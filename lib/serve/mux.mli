@@ -15,7 +15,7 @@
     instance keeps deciding at message speed).
 
     Finished instances live in one decision log keyed by instance id, in
-    fixed-size pages allocated on first touch: a re-submit of a decided
+    pages of bounded size that grow by doubling: a re-submit of a decided
     instance is answered with its logged Decide, frames for any finished
     instance are dropped, and an instance given up at the horizon stays
     silent until a peer's Catchup upgrades it to decided.  No insert copies
@@ -27,7 +27,15 @@
     prefix-crash phase it realized — the instance interrupted mid-round
     keeps its partial write count, everything else crashes before/after its
     current round's sends — so each surviving instance can be judged
-    against the abstract engine under its own realized schedule. *)
+    against the abstract engine under its own realized schedule.
+
+    A scripted [kill] (the live runtime's {!Live.Script.kill}) stops the
+    mux the same way, at an exact [(round, phase)] rather than a frame
+    count: the first instance to reach the kill's round writes
+    {!Live.Script.writes_completed} frames of it and halts there.  That
+    also covers what no budget can say: [After_send] halts after the last
+    write and before the compute, and [Before_send] halts in a round that
+    sends nothing. *)
 
 type config = {
   me : int;
@@ -49,6 +57,7 @@ module Make (A : Binding.ALGO) : sig
 
   val create :
     config ->
+    ?kill:Live.Script.kill ->
     ?persist:(instance:int -> value:int -> round:int -> unit) ->
     emit:(dest:int -> Live.Frame.t -> unit) ->
     unit ->
@@ -57,7 +66,9 @@ module Make (A : Binding.ALGO) : sig
       clients", otherwise the mesh peer id.  Called synchronously from
       {!submit}/{!on_view}/{!expire}.  [persist] (the WAL append) runs on
       every new decision {e before} its Decide frame is emitted, so any
-      decision a client can observe is already durable. *)
+      decision a client can observe is already durable.  [kill] is this
+      node's scripted stop; raises [Invalid_argument] if it names another
+      node. *)
 
   val submit : t -> now:float -> instance:int -> proposal:int -> unit
   (** Start (or ignore, if known) an instance with this node's proposal. *)
@@ -95,7 +106,7 @@ module Make (A : Binding.ALGO) : sig
 
   val halted : t -> bool
   val realized : t -> realized list
-  (** After a budget halt: per-instance crash points, sorted by instance. *)
+  (** After a halt: per-instance crash points, sorted by instance. *)
 
   val stats : t -> Stats.t
   (** The live counters, with [slab_capacity] and [slab_reused] brought up

@@ -98,7 +98,6 @@ let judge_instance ~n ~t ~proposals ~row ~victim ~send_plan instance =
       t;
       proposals = Array.init n (fun j -> proposals instance (j + 1));
       statuses;
-      rounds = Array.make n [];
       max_round;
     }
   in

@@ -464,7 +464,7 @@ let decisions tr =
     (Live.Transcript.decisions tr)
 
 let test_loopback_no_crash () =
-  let tr = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script:[] () in
+  let tr = Serve.Loopback.Rwwc.script ~n:5 ~t:3 ~script:[] () in
   Alcotest.(check (list (triple int int int)))
     "everyone decides 1 in round 1"
     [ (1, 1, 1); (2, 1, 1); (3, 1, 1); (4, 1, 1); (5, 1, 1) ]
@@ -482,7 +482,7 @@ let acceptance_script =
   ]
 
 let test_loopback_acceptance () =
-  let tr = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script:acceptance_script () in
+  let tr = Serve.Loopback.Rwwc.script ~n:5 ~t:3 ~script:acceptance_script () in
   (* p1's data reaches p2,p3 (prefix 2 of p2..p5): both adopt est 1.  p2
      relays est 1 to everyone, commits only to p5 (prefix 1 of p5,p4,p3):
      p5 decides 1 in round 2.  p3 coordinates round 3 uncrashed: everyone
@@ -505,7 +505,7 @@ let test_loopback_acceptance () =
   | None -> Alcotest.fail "differential skipped on an all-scripted run"
 
 let test_loopback_deterministic () =
-  let run () = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script:acceptance_script () in
+  let run () = Serve.Loopback.Rwwc.script ~n:5 ~t:3 ~script:acceptance_script () in
   let a = run () and b = run () in
   Alcotest.(check bool) "byte-identical transcripts" true
     (Live.Transcript.equal_observable a b)
@@ -530,38 +530,71 @@ let all_single_kills ~n =
         (Pid.range ~lo:1 ~hi:(n - 2) |> List.map Pid.to_int))
     (List.map Pid.to_int (Pid.all ~n))
 
+(* Judge one scripted run, and check every victim stopped exactly at its
+   kill: killed in the kill's round, unless it decided in an earlier one.
+   That covers the stops no frame budget can express — [after] halts
+   before the compute (p1@r1:after must not decide), and [before] halts
+   in a round that sends nothing (p3@r2:before never computes round 2). *)
+let judge_script ~n script tr =
+  let schedule =
+    Live.Script.to_schedule ~send_plan:(Live.Binding.Rwwc.send_plan ~n) script
+  in
+  let v = Live.Judge.judge ~schedule tr in
+  if not v.Live.Judge.ok then
+    Alcotest.fail
+      (Format.asprintf "n=%d %a:@.%a" n Live.Script.pp script Live.Judge.pp v);
+  List.iter
+    (fun (k : Live.Script.kill) ->
+      match tr.Live.Transcript.statuses.(Pid.to_int k.pid - 1) with
+      | Live.Transcript.Killed { at_round; scripted = true }
+        when at_round = k.round ->
+        ()
+      | Live.Transcript.Decided { at_round; _ } when at_round < k.round -> ()
+      | _ ->
+        Alcotest.fail
+          (Format.asprintf "n=%d %a: %s did not stop at its kill" n
+             Live.Script.pp script
+             (Live.Script.kill_to_string k)))
+    script
+
 let test_loopback_differential_sweep () =
-  (* Every single-kill script at n = 4 and n = 5: the loopback execution
-     must decide exactly like the abstract engine on the realized
-     schedule, and pass every uniform-consensus check. *)
+  (* Every single-kill script at n = 4 and n = 5, and every two-kill
+     script at n = 5 (two distinct victims, each with every single-kill
+     (round, phase)): the loopback execution must decide exactly like the
+     abstract engine on the realized schedule, and pass every
+     uniform-consensus check. *)
+  let sweep ~n scripts =
+    List.iter
+      (fun script ->
+        judge_script ~n script
+          (Serve.Loopback.Rwwc.script ~n ~t:(n - 2) ~script ()))
+      scripts;
+    List.length scripts
+  in
   List.iter
     (fun n ->
-      let checked = ref 0 in
-      List.iter
-        (fun script ->
-          let tr = Live.Loopback.Rwwc.run ~n ~t:(n - 2) ~script () in
-          let schedule =
-            Live.Script.to_schedule
-              ~send_plan:(Live.Binding.Rwwc.send_plan ~n)
-              script
-          in
-          let v = Live.Judge.judge ~schedule tr in
-          incr checked;
-          if not v.Live.Judge.ok then
-            Alcotest.fail
-              (Format.asprintf "n=%d %a:@.%a" n Live.Script.pp script
-                 Live.Judge.pp v))
-        (all_single_kills ~n);
       Alcotest.(check bool)
         (Printf.sprintf "n=%d: swept some scripts" n)
-        true (!checked > 20))
-    [ 4; 5 ]
+        true
+        (sweep ~n (all_single_kills ~n) > 20))
+    [ 4; 5 ];
+  let kills = List.concat (all_single_kills ~n:5) in
+  let pairs =
+    List.concat_map
+      (fun (a : Live.Script.kill) ->
+        List.filter_map
+          (fun (b : Live.Script.kill) ->
+            if Pid.compare a.pid b.pid < 0 then Some [ a; b ] else None)
+          kills)
+      kills
+  in
+  Alcotest.(check int) "n=5: every two-kill script" 2408 (sweep ~n:5 pairs)
 
 let test_loopback_default_scripts () =
   (* The --f presets through every f the resilience allows. *)
   for f = 0 to 3 do
     let script = Live.Script.default ~n:5 ~f in
-    let tr = Live.Loopback.Rwwc.run ~n:5 ~t:3 ~script () in
+    let tr = Serve.Loopback.Rwwc.script ~n:5 ~t:3 ~script () in
     let schedule =
       Live.Script.to_schedule ~send_plan:(Live.Binding.Rwwc.send_plan ~n:5) script
     in
@@ -579,7 +612,7 @@ let test_loopback_default_scripts () =
 let test_judge_flags_disagreement () =
   (* A fabricated transcript with two different decided values must fail
      the uniform-agreement check — the judge is not a rubber stamp. *)
-  let tr = Live.Loopback.Rwwc.run ~n:4 ~t:2 ~script:[] () in
+  let tr = Serve.Loopback.Rwwc.script ~n:4 ~t:2 ~script:[] () in
   let statuses = Array.copy tr.Live.Transcript.statuses in
   statuses.(3) <- Live.Transcript.Decided { value = 4; at_round = 1 };
   let forged = { tr with Live.Transcript.statuses = statuses } in
@@ -587,7 +620,7 @@ let test_judge_flags_disagreement () =
   Alcotest.(check bool) "judge fails" false v.Live.Judge.ok
 
 let test_judge_flags_missing_decision () =
-  let tr = Live.Loopback.Rwwc.run ~n:4 ~t:2 ~script:[] () in
+  let tr = Serve.Loopback.Rwwc.script ~n:4 ~t:2 ~script:[] () in
   let statuses = Array.copy tr.Live.Transcript.statuses in
   statuses.(2) <- Live.Transcript.Undecided;
   let forged = { tr with Live.Transcript.statuses = statuses } in
